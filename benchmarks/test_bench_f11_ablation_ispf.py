@@ -20,7 +20,7 @@ from repro.controlplane.spf import dijkstra
 from repro.workloads.scenarios import fat_tree_ospf
 
 
-def test_f11_ispf_ablation(benchmark):
+def test_f11_ispf_ablation():
     table = Table(
         "F11: SPF maintenance per link flap (all sources)",
         ["sources", "dynamic_ms", "full_dijkstra_ms", "speedup"],
@@ -79,18 +79,3 @@ def test_f11_ispf_ablation(benchmark):
             speedup=full_seconds / max(dynamic_seconds, 1e-9),
         )
     table.emit()
-
-    scenario = fat_tree_ospf(4)
-    state = build_ospf_state(scenario.snapshot)
-    graph = state.graphs[0]
-    dynamic = DynamicSpf(graph, "edge0_0")
-    cost = graph.cost("edge0_0", "agg0_0")
-    hops = graph.attachments[("edge0_0", "agg0_0")]
-
-    def single_source_flap():
-        graph.remove_edge("edge0_0", "agg0_0")
-        dynamic.edge_increased("edge0_0", "agg0_0")
-        graph.set_edge("edge0_0", "agg0_0", int(cost), hops)
-        dynamic.edge_decreased("edge0_0", "agg0_0")
-
-    benchmark(single_source_flap)

@@ -1,8 +1,11 @@
 """F3 — speedup vs topology size (fat-tree k ∈ {4, 6, 8}).
 
-Reproduces the scaling figure: the incremental analyzer's latency for
-a single link failure stays near-flat while the snapshot-diff baseline
-grows with the network, so the speedup widens with scale.
+Reproduces the scaling figure: a single link failure, incrementally
+and through the snapshot-diff baseline, on growing fabrics.  The
+incremental latency is *not* near-flat for link failures: the IGP
+stage recomputes every SPF source (the ``spf_sources`` column), so it
+grows with the network.  What does shrink is the share of atoms the
+differential data plane re-analyses — the gated shape.
 """
 
 from __future__ import annotations
@@ -14,13 +17,13 @@ from repro.workloads.changes import ChangeGenerator
 from repro.workloads.scenarios import fat_tree_ospf
 
 
-def test_f3_speedup_vs_scale(benchmark):
+def test_f3_speedup_vs_scale():
     table = Table(
         "F3: link-failure latency vs fat-tree size",
-        ["routers", "dna_ms", "baseline_ms", "speedup"],
+        ["routers", "spf_sources", "atoms_share", "dna_ms", "baseline_ms",
+         "speedup"],
     )
-    speedups = []
-    keep_for_benchmark = None
+    shares = []
     for k in (4, 6, 8):
         scenario = fat_tree_ospf(k)
         analyzer = DifferentialNetworkAnalyzer(scenario.snapshot)
@@ -35,27 +38,21 @@ def test_f3_speedup_vs_scale(benchmark):
         assert report.behavior_signature() == reference.behavior_signature()
         analyzer.analyze(up)
 
-        speedup = base_seconds / dna_seconds
-        speedups.append(speedup)
+        routers = scenario.topology.num_routers()
+        counters = report.counters
+        share = counters["atoms_analyzed"] / counters["atoms_total"]
+        shares.append(share)
         table.add(
             f"fat-tree k={k}",
-            routers=scenario.topology.num_routers(),
+            routers=routers,
+            spf_sources=f"{counters['spf_sources_recomputed']}/{routers}",
+            atoms_share=share,
             dna_ms=dna_seconds * 1e3,
             baseline_ms=base_seconds * 1e3,
-            speedup=speedup,
+            speedup=base_seconds / dna_seconds,
         )
-        if k == 4:
-            keep_for_benchmark = (analyzer, generator)
     table.emit()
 
-    # Shape check: the win does not shrink as the fabric grows.
-    assert speedups[-1] > speedups[0] * 0.5
-
-    analyzer, generator = keep_for_benchmark
-    down, up = generator.random_link_failure()
-
-    def round_trip():
-        analyzer.analyze(down)
-        analyzer.analyze(up)
-
-    benchmark(round_trip)
+    # Shape check: the re-analysed share of atoms does not grow with
+    # the fabric.
+    assert shares == sorted(shares, reverse=True), shares

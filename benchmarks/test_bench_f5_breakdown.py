@@ -21,7 +21,7 @@ def _row(table: Table, label: str, report) -> None:
     table.add(label, **values)
 
 
-def test_f5_phase_breakdown(benchmark):
+def test_f5_phase_breakdown():
     table = Table(
         "F5: DNA phase breakdown (milliseconds)",
         list(PHASES) + ["total_ms"],
@@ -51,11 +51,3 @@ def test_f5_phase_breakdown(benchmark):
     wan_analyzer.analyze(wan_generator.dual_homed_pref_flip(200, 100))
 
     table.emit()
-
-    down2, up2 = generator.random_link_failure()
-
-    def round_trip():
-        analyzer.analyze(down2)
-        analyzer.analyze(up2)
-
-    benchmark(round_trip)

@@ -10,6 +10,7 @@ baseline by the prefix count of the network.
 from __future__ import annotations
 
 from repro.bench.harness import Table, median, time_call
+from repro.bench.workloads import wan_k8_batch
 from repro.core.analyzer import DifferentialNetworkAnalyzer
 from repro.core.change import Change, LinkDown, LinkUp
 from repro.core.planner import PlannerConfig
@@ -35,7 +36,7 @@ def _measure(analyzer, forward, backward, table, label):
     )
 
 
-def test_f6_wan_bgp_changes(benchmark):
+def test_f6_wan_bgp_changes():
     scenario = internet2_bgp(customers_per_pop=2, prefixes_per_customer=3)
     analyzer = DifferentialNetworkAnalyzer(scenario.snapshot)
     generator = ChangeGenerator(scenario, seed=600)
@@ -73,17 +74,20 @@ def test_f6_wan_bgp_changes(benchmark):
 
     table.emit()
 
-    flip2 = generator.dual_homed_pref_flip(100, 200)
-    flip2_back = generator.dual_homed_pref_flip(200, 100)
 
-    def round_trip():
-        analyzer.analyze(flip2)
-        analyzer.analyze(flip2_back)
+def test_f6_wan_batch_runs_the_bgp_stages():
+    """Committing the k=8 WAN batch resolves BGP prefixes and rescans
+    sessions: a refactor that silently stopped either stage would
+    otherwise read as a speedup."""
+    scenario = internet2_bgp()
+    changes, _recovery = wan_k8_batch(scenario)
+    analyzer = DifferentialNetworkAnalyzer(scenario.snapshot.clone())
+    report = analyzer.analyze_batch(changes)
+    assert report.counters["bgp_prefixes_resolved"] > 0
+    assert report.counters["bgp_sessions_rescanned"] > 0
 
-    benchmark(round_trip)
 
-
-def test_f6_session_edit_scoped_rescan(benchmark):
+def test_f6_session_edit_scoped_rescan():
     """A single-session edit revalidates a fraction of the session table.
 
     The staged BGP pipeline restricts session discovery to the dirty
@@ -160,8 +164,3 @@ def test_f6_session_edit_scoped_rescan(benchmark):
         f"{full_rescanned} directed sessions; expected <= "
         f"{MAX_SCOPED_FRACTION:.0%}"
     )
-
-    def round_trip():
-        scoped.what_if(teardown)
-
-    benchmark(round_trip)

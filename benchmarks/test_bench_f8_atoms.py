@@ -29,7 +29,7 @@ def _rebuild_fibs(state) -> dict[str, Fib]:
     return copies
 
 
-def test_f8_atom_maintenance(benchmark):
+def test_f8_atom_maintenance():
     scenario = fat_tree_ospf(6)
     state = simulate(scenario.snapshot)
     router = scenario.fabric.routers_with_role("edge")[0]
@@ -72,14 +72,3 @@ def test_f8_atom_maintenance(benchmark):
             speedup=rebuild_seconds / max(incremental_seconds, 1e-9),
         )
     table.emit()
-
-    entry = FibEntry(
-        Prefix(SCRATCH + 256 * 999, 24),
-        frozenset({NextHop(interface="eth0", neighbor=neighbor)}),
-    )
-
-    def flap():
-        state.dataplane.update_fib_entry(router, entry.prefix, entry)
-        state.dataplane.update_fib_entry(router, entry.prefix, None)
-
-    benchmark(flap)

@@ -29,7 +29,7 @@ def _measure_pair(analyzer, forward, backward):
     return dna_time, base_time
 
 
-def test_t1_change_kinds(benchmark):
+def test_t1_change_kinds():
     table = Table(
         "T1: per-change-kind analysis latency",
         ["network", "dna_ms", "baseline_ms", "speedup"],
@@ -81,13 +81,3 @@ def test_t1_change_kinds(benchmark):
               baseline_ms=base * 1e3, speedup=base / dna)
 
     table.emit()
-
-    # Headline operation under pytest-benchmark statistics: the DNA
-    # link-failure round trip on the fat-tree.
-    down2, up2 = generator.random_link_failure()
-
-    def round_trip():
-        analyzer.analyze(down2)
-        analyzer.analyze(up2)
-
-    benchmark(round_trip)

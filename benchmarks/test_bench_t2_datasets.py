@@ -19,7 +19,7 @@ from repro.workloads.scenarios import (
 )
 
 
-def test_t2_datasets(benchmark):
+def test_t2_datasets():
     table = Table(
         "T2: datasets",
         ["routers", "links", "fib_entries", "atoms", "full_sim_ms"],
@@ -48,6 +48,3 @@ def test_t2_datasets(benchmark):
             full_sim_ms=seconds * 1e3,
         )
     table.emit()
-
-    ring = ring_ospf(16)
-    benchmark(lambda: simulate(ring.snapshot, precompute_reachability=True))

@@ -98,8 +98,6 @@ _EXPORTS = {
         "registered_change_handlers",
     ),
     "compose_reports": ("repro.core.delta", "compose_reports"),
-    "trace_packet": ("repro.query.trace", "trace_packet"),
-    "path_diff": ("repro.query.paths", "path_diff"),
     "EquivalenceOracle": ("repro.core.oracle", "EquivalenceOracle"),
     "simulate": ("repro.controlplane.simulation", "simulate"),
     "CampaignReport": ("repro.campaign.report", "CampaignReport"),

@@ -3,9 +3,9 @@
 The benchmarks regenerate the paper's tables/figures as text: each
 bench builds a :class:`Table`, fills :class:`BenchRow` entries from
 measured runs, and prints it (captured into ``bench_output.txt`` by
-the top-level run).  ``pytest-benchmark`` handles the statistical
-timing of the headline operation in each file; these helpers cover
-the multi-column sweeps a single ``benchmark()`` call cannot express.
+the top-level run).  The timings are reports, never gates: the
+end-to-end benchmark under ``benchmarks/e2e`` is where time is
+measured.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Shared benchmark workloads.
 
 One definition of the measured change batches, imported by both the
-pytest benchmarks (``benchmarks/test_bench_batch.py``) and the CI
-performance pulse (``benchmarks/smoke.py``), so the tracked numbers
+pytest benchmarks (``benchmarks/test_bench_batch.py``) and the
+end-to-end benchmark (``benchmarks/e2e``), so the tracked numbers
 always measure the same shape the acceptance assertions enforce.
 """
 

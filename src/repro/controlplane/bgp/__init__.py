@@ -17,8 +17,7 @@ DirtySet axis (``bgp_sessions``, ``bgp_adj_rib``, ``bgp_policy``,
 - :mod:`~repro.controlplane.bgp.solver` — the per-prefix fixpoint
   driver over stages 2–4, plus origination collection.
 
-The public surface (this module) is unchanged from the monolith, so
-existing imports keep working.
+This module re-exports the stages' public surface.
 """
 
 from repro.controlplane.bgp.adjrib import export_route, import_route
@@ -41,13 +40,6 @@ from repro.controlplane.bgp.types import (
     BgpSession,
     IgpView,
 )
-
-# Pre-split private names, kept importable for callers and tests that
-# reached into the monolith (the decision/adj-RIB internals are the
-# same functions under their stage names).
-_decision = best_path
-_export = export_route
-_import = import_route
 
 __all__ = [
     "INFINITY",

@@ -46,11 +46,11 @@ from repro.controlplane.bgp import collect_origins
 from repro.controlplane.incremental import OspfIncremental
 from repro.controlplane.simulation import simulate
 from repro.core.change import Change, Edit
-from repro.core.delta import DeltaReport, compose_reports
+from repro.core.delta import DeltaReport
 from repro.core.forking import ForkError, UndoJournal
 from repro.core.handlers import handler_for
 from repro.core.pipeline import DirtySet, RecomputePipeline
-from repro.core.planner import BatchPlan, BatchPlanner, PlannerConfig
+from repro.core.planner import BatchPlanner, PlannerConfig
 from repro.core.snapshot import Snapshot
 from repro.obs import NULL_TRACER, EventLog, MetricsRegistry, Tracer
 from repro.obs.provenance import ProvenanceRecord
@@ -93,8 +93,7 @@ class DifferentialNetworkAnalyzer:
         self._journal: UndoJournal | None = None
         self._pipeline = RecomputePipeline(self)
         # The batch planner decides, per batch and before any edit
-        # applies, whether scoped recompute still beats a full re-solve
-        # (and whether an oversized batch should be chunked).
+        # applies, whether scoped recompute still beats a full re-solve.
         self.planner = BatchPlanner(self, planner or PlannerConfig())
         # Bumped on every *committed* analysis; callers caching derived
         # artifacts (e.g. the campaign runner's pickled base payload)
@@ -149,8 +148,6 @@ class DifferentialNetworkAnalyzer:
         # any edit applies; its decision is recorded on the root span.
         plan = self.planner.plan(batch, provenance=provenance)
         self.metrics.counter(f"planner.{plan.mode}").inc()
-        if plan.chunk_sizes:
-            return self._analyze_split(batch, plan, label, provenance)
         report = DeltaReport(label if label is not None else batch_label(batch))
         record: ProvenanceRecord | None = None
         if provenance:
@@ -231,34 +228,6 @@ class DifferentialNetworkAnalyzer:
                 segments=len(report.reach_segments),
             )
         return report
-
-    def _analyze_split(
-        self,
-        batch: list[Change],
-        plan: "BatchPlan",
-        label: str | None,
-        provenance: bool,
-    ) -> DeltaReport:
-        """Run an oversized batch as planner-chosen chunks.
-
-        Each chunk is a normal (committed or forked, matching the
-        caller's context) ``analyze_batch`` pass; the chunk reports
-        compose into one, which the sequential-composition contract
-        guarantees is byte-identical to the unsplit batch (modulo
-        timings/counters).  Provenance survives: composition renumbers
-        edit ids exactly as the oracle tests expect.
-        """
-        reports: list[DeltaReport] = []
-        start = 0
-        for count in plan.chunk_sizes:
-            chunk = batch[start : start + count]
-            start += count
-            reports.append(
-                self.analyze_batch(chunk, provenance=provenance)
-            )
-        return compose_reports(
-            reports, label if label is not None else batch_label(batch)
-        )
 
     @contextmanager
     def fork(self) -> Iterator["DifferentialNetworkAnalyzer"]:

@@ -503,17 +503,6 @@ class DeltaReport:
 
     # -- summaries ---------------------------------------------------------------
 
-    @property
-    def stats(self) -> dict[str, int]:
-        """Alias for :attr:`counters` (work/batching statistics).
-
-        ``stats["edits_batched"]`` reports how many primitive edits the
-        producing (batched) analysis applied before its single
-        recompute pass; everything here is surfaced under ``counters``
-        in ``--json`` output.
-        """
-        return self.counters
-
     def num_rib_changes(self) -> int:
         return sum(len(v) for v in self.rib_changes.values())
 

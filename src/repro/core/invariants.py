@@ -21,14 +21,10 @@ Invariants self-register in a name -> class **registry**
 invariant *names* instead of hard-coded lists, and users can plug in
 their own checks.  The :class:`repro.api.Network` facade resolves
 names through the registry in ``Network.check``.
-
-The legacy free function ``check_invariants`` survives as a deprecated
-shim; call :meth:`Invariant.check` per invariant or use the facade.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -341,17 +337,3 @@ def _check_invariants(
         if violations:
             results[invariant.name] = violations
     return results
-
-
-def check_invariants(
-    report: DeltaReport, invariants: list[Invariant]
-) -> dict[str, list[Violation]]:
-    """Deprecated shim: use :meth:`repro.api.Network.check` (or call
-    :meth:`Invariant.check` per invariant)."""
-    warnings.warn(
-        "check_invariants() is deprecated; use repro.api.Network.check() "
-        "or Invariant.check() directly",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _check_invariants(report, invariants)

@@ -16,16 +16,12 @@ every prefix is dirty.
   the epoch pre-images, mark everything dirty, re-solve every prefix
   and re-check every BGP FIB entry.  Chosen only with provenance off
   (edit-level attribution needs the scoped cause bookkeeping), which
-  makes the planner provenance-sound by construction;
-- **split** — the batch is oversized (``split_max_edits``): chunk it
-  along change boundaries and compose the chunk reports, which bounds
-  the worst-case cost of any single recompute pass.
+  makes the planner provenance-sound by construction.
 
-All three modes produce byte-identical reports (modulo timings and
-work counters): full mode relies on recompute idempotence — re-solving
-a clean prefix reproduces its solution exactly, and the FIB stage
-drops no-op entries — and split mode is the sequential-composition
-equivalence the batch contract already guarantees.
+Both modes produce byte-identical reports (modulo timings and work
+counters): full mode relies on recompute idempotence — re-solving a
+clean prefix reproduces its solution exactly, and the FIB stage drops
+no-op entries.
 
 The estimate is *static* (pre-application) and deliberately one-sided:
 BGP-surface edits are estimated precisely; IGP edits estimate zero
@@ -66,15 +62,12 @@ class PlannerConfig:
     default 0.9 comes from the EXPERIMENTS.md sweep — scoped still
     wins by ~25% at 0.8, the two are within noise near 0.9, and full
     wins past that.  Values above 1.0 disable full mode; 0.0 forces
-    it.  ``split_max_edits`` bounds one recompute pass; oversized
-    batches are chunked along change boundaries.
-    ``scope_sessions=False`` forces the session stage back onto full
+    it.  ``scope_sessions=False`` forces the session stage back onto full
     rescans — the comparison baseline for the scoped discovery path
     (benchmarks and oracle tests use it).
     """
 
     full_scope_ratio: float = 0.9
-    split_max_edits: int = 64
     scope_sessions: bool = True
 
 
@@ -82,15 +75,13 @@ class PlannerConfig:
 class BatchPlan:
     """One planning decision, recorded before any edit applies.
 
-    ``chunk_sizes`` (split mode) is the number of *changes* per chunk,
-    in order; estimates are in prefixes against ``total_prefixes``.
+    Estimates are in prefixes against ``total_prefixes``.
     """
 
-    mode: str  # "scoped" | "full" | "split"
+    mode: str  # "scoped" | "full"
     reason: str
     estimated_prefixes: int = 0
     total_prefixes: int = 0
-    chunk_sizes: tuple[int, ...] = ()
 
 
 class BatchPlanner:
@@ -113,18 +104,6 @@ class BatchPlanner:
         """Decide how to run one batch.  Reads converged state only —
         no edit has applied yet — so the same batch against the same
         state always plans the same way."""
-        edits = sum(len(change.edits) for change in changes)
-        if edits > self.config.split_max_edits and len(changes) > 1:
-            chunk_sizes = self._chunk_sizes(changes)
-            if len(chunk_sizes) > 1:
-                return BatchPlan(
-                    mode="split",
-                    reason=(
-                        f"{edits} edits > split_max_edits="
-                        f"{self.config.split_max_edits}"
-                    ),
-                    chunk_sizes=chunk_sizes,
-                )
         total = len(self.analyzer.state.bgp_solutions)
         if total == 0:
             return BatchPlan(
@@ -241,26 +220,3 @@ class BatchPlanner:
             if router in owners:
                 hit.add(prefix)
         return hit
-
-    # ------------------------------------------------------------------
-    # Split chunking
-    # ------------------------------------------------------------------
-
-    def _chunk_sizes(self, changes: Sequence[Change]) -> tuple[int, ...]:
-        """Greedy chunking along change boundaries: each chunk stays
-        under ``split_max_edits`` unless a single change alone exceeds
-        it (changes are never split internally)."""
-        sizes: list[int] = []
-        count = 0
-        chunk_edits = 0
-        for change in changes:
-            n = len(change.edits)
-            if count and chunk_edits + n > self.config.split_max_edits:
-                sizes.append(count)
-                count = 0
-                chunk_edits = 0
-            count += 1
-            chunk_edits += n
-        if count:
-            sizes.append(count)
-        return tuple(sizes)

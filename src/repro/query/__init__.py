@@ -9,17 +9,11 @@
 
 The supported entry points are :meth:`repro.api.Network.trace`,
 :meth:`~repro.api.Network.paths`, and
-:meth:`~repro.api.Network.path_diff`; the free functions re-exported
-here are deprecated shims kept for backwards compatibility.
+:meth:`~repro.api.Network.path_diff`.
 """
 
-from repro.query.trace import Hop, PacketTrace, TraceOutcome, trace_packet
-from repro.query.paths import (
-    ForwardingPaths,
-    PathDiff,
-    forwarding_paths,
-    path_diff,
-)
+from repro.query.trace import Hop, PacketTrace, TraceOutcome
+from repro.query.paths import ForwardingPaths, PathDiff
 
 __all__ = [
     "ForwardingPaths",
@@ -27,7 +21,4 @@ __all__ = [
     "PacketTrace",
     "PathDiff",
     "TraceOutcome",
-    "forwarding_paths",
-    "path_diff",
-    "trace_packet",
 ]

@@ -6,13 +6,11 @@ and the owners of a destination address from converged state;
 "how did my traffic move?" question the BGP what-if example asks.
 
 The supported entry points live on the :class:`repro.api.Network`
-facade; the module-level ``forwarding_paths``/``path_diff`` free
-functions survive as deprecated shims.
+facade.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -151,30 +149,3 @@ def _path_diff(
         reachable_before=reach_before,
         reachable_after=reach_after,
     )
-
-
-def forwarding_paths(
-    state: NetworkState, source: str, dst_address: int, max_hops: int = 64
-) -> tuple[frozenset[tuple[str, str]], bool]:
-    """Deprecated shim: use :meth:`repro.api.Network.paths`."""
-    warnings.warn(
-        "forwarding_paths() is deprecated; use repro.api.Network.paths()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _forwarding_paths(state, source, dst_address, max_hops)
-
-
-def path_diff(
-    before: NetworkState,
-    after: NetworkState,
-    source: str,
-    dst_address: int,
-) -> PathDiff:
-    """Deprecated shim: use :meth:`repro.api.Network.path_diff`."""
-    warnings.warn(
-        "path_diff() is deprecated; use repro.api.Network.path_diff()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _path_diff(before, after, source, dst_address)

@@ -11,14 +11,12 @@ Used by examples as a "traceroute", and by tests as an oracle: for
 packets whose path crosses only destination-based ACLs, the trace's
 delivery fate must agree with the atom-level reachability analysis.
 
-The supported entry point is :meth:`repro.api.Network.trace`; the
-module-level ``trace_packet`` survives as a deprecated shim.
+The supported entry point is :meth:`repro.api.Network.trace`.
 """
 
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -248,18 +246,3 @@ def _trace_packet(
             )
             frontier.append((hop.neighbor, visited))
     return trace
-
-
-def trace_packet(
-    state: NetworkState,
-    source: str,
-    packet: Mapping[str, int],
-    max_hops: int = 64,
-) -> PacketTrace:
-    """Deprecated shim: use :meth:`repro.api.Network.trace`."""
-    warnings.warn(
-        "trace_packet() is deprecated; use repro.api.Network.trace()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _trace_packet(state, source, packet, max_hops)

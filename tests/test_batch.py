@@ -656,7 +656,7 @@ class TestBgpStageGranularity:
 
 
 class TestBatchPlanner:
-    """The planner's crossover/split decisions: deterministic,
+    """The planner's crossover decisions: deterministic,
     provenance-sound, and equivalence-preserving in every mode."""
 
     def test_plan_is_deterministic(self, internet2_scenario):
@@ -726,52 +726,3 @@ class TestBatchPlanner:
         assert drift.is_empty(), f"state drift:\n{drift.summary()}"
         assert full.metrics.counters()["planner.full"] == 1
         assert scoped.metrics.counters()["planner.scoped"] == 1
-
-    def test_split_mode_matches_unsplit(self, fat_tree_k4_scenario):
-        gen = ChangeGenerator(fat_tree_k4_scenario, seed=94)
-        adds = [gen.random_static_route()[0] for _ in range(3)]
-        plain = DifferentialNetworkAnalyzer(
-            fat_tree_k4_scenario.snapshot.clone()
-        )
-        split = DifferentialNetworkAnalyzer(
-            fat_tree_k4_scenario.snapshot.clone(),
-            planner=PlannerConfig(split_max_edits=2),
-        )
-        plan = split.planner.plan(adds)
-        assert plan.mode == "split"
-        assert plan.chunk_sizes == (2, 1)
-        plain_report = plain.analyze_batch(adds, label="chunked")
-        split_report = split.analyze_batch(adds, label="chunked")
-        assert _stripped(plain_report) == _stripped(split_report)
-        drift = diff_states(plain.state, split.state)
-        assert drift.is_empty(), f"state drift:\n{drift.summary()}"
-        # One split decision, then one scoped pass per chunk.
-        counters = split.metrics.counters()
-        assert counters["planner.split"] == 1
-        assert counters["planner.scoped"] == 2
-
-    def test_split_mode_preserves_provenance(self, fat_tree_k4_scenario):
-        """Chunk composition renumbers edit ids densely, so a split
-        batch's provenance is byte-identical to the unsplit one."""
-        gen = ChangeGenerator(fat_tree_k4_scenario, seed=95)
-        down, _up = gen.random_link_failure()
-        add1, _ = gen.random_static_route()
-        add2, _ = gen.random_static_route()
-        changes = [down, add1, add2]
-        plain = DifferentialNetworkAnalyzer(
-            fat_tree_k4_scenario.snapshot.clone()
-        )
-        split = DifferentialNetworkAnalyzer(
-            fat_tree_k4_scenario.snapshot.clone(),
-            planner=PlannerConfig(split_max_edits=1),
-        )
-        plain_report = plain.analyze_batch(
-            changes, label="chunked", provenance=True
-        )
-        split_report = split.analyze_batch(
-            changes, label="chunked", provenance=True
-        )
-        assert _stripped(plain_report) == _stripped(split_report)
-        record = split_report.provenance
-        assert record is not None
-        assert [info.edit_id for info in record.edits] == [0, 1, 2]

@@ -67,71 +67,3 @@ class TestOracleError:
         message = str(error)
         assert "test change" in message
         assert "missing" in message
-
-
-class TestPerfRegressionGate:
-    def document(self, **medians):
-        return {
-            "schema_version": 1,
-            "suite": "smoke",
-            "results": [
-                {"name": name, "median_s": median_s}
-                for name, median_s in medians.items()
-            ],
-        }
-
-    def test_clean_run_passes(self):
-        from repro.bench.compare import compare
-
-        baseline = self.document(what_if=0.010, batch=0.040)
-        current = self.document(what_if=0.011, batch=0.038)
-        assert compare(baseline, current) == []
-
-    def test_regression_past_threshold_fails(self):
-        from repro.bench.compare import compare
-
-        baseline = self.document(what_if=0.010)
-        current = self.document(what_if=0.014)
-        problems = compare(baseline, current, threshold=1.3)
-        assert len(problems) == 1
-        assert "what_if" in problems[0] and "1.40x" in problems[0]
-
-    def test_exactly_at_threshold_passes(self):
-        from repro.bench.compare import compare
-
-        baseline = self.document(what_if=0.010)
-        current = self.document(what_if=0.013)
-        assert compare(baseline, current, threshold=1.3) == []
-
-    def test_noise_floor_skips_tiny_baselines(self):
-        from repro.bench.compare import compare
-
-        baseline = self.document(fast=0.0001)
-        current = self.document(fast=0.0009)  # 9x, but sub-millisecond
-        assert compare(baseline, current) == []
-
-    def test_dropped_entry_fails_new_entry_passes(self):
-        from repro.bench.compare import compare
-
-        baseline = self.document(old=0.010)
-        current = self.document(new=0.010)
-        problems = compare(baseline, current)
-        assert len(problems) == 1
-        assert "old" in problems[0] and "missing" in problems[0]
-
-    def test_cli_exit_codes(self, tmp_path, capsys):
-        import json
-
-        from repro.bench.compare import main
-
-        baseline_path = tmp_path / "baseline.json"
-        current_path = tmp_path / "current.json"
-        baseline_path.write_text(json.dumps(self.document(what_if=0.010)))
-        current_path.write_text(json.dumps(self.document(what_if=0.020)))
-        assert main([str(baseline_path), str(current_path)]) == 1
-        assert "FAILED" in capsys.readouterr().out
-        assert (
-            main([str(baseline_path), str(current_path), "--threshold", "3"])
-            == 0
-        )
-        assert "passed" in capsys.readouterr().out

@@ -13,7 +13,7 @@ from repro.config.routing import BgpConfig, BgpNeighborConfig
 from repro.controlplane.bgp import (
     BgpCandidate,
     BgpConvergenceError,
-    _decision,
+    best_path,
     collect_origins,
     discover_sessions,
     solve_prefix,
@@ -202,7 +202,7 @@ class TestDecision:
             ),
             from_peer="other",
         )
-        best = _decision("me", {"a": short, "b": long_preferred}, _ZeroIgp())
+        best = best_path("me", {"a": short, "b": long_preferred}, _ZeroIgp())
         assert best is long_preferred
 
     def test_path_length_dominates_med(self):
@@ -213,19 +213,19 @@ class TestDecision:
             bundle=AttributeBundle(prefix=Prefix("10.0.0.0/24"), as_path=(1, 2), med=0),
             from_peer="other",
         )
-        best = _decision("me", {"a": short_high_med, "b": long_low_med}, _ZeroIgp())
+        best = best_path("me", {"a": short_high_med, "b": long_low_med}, _ZeroIgp())
         assert best is short_high_med
 
     def test_ebgp_preferred_over_ibgp(self):
         ibgp = self.candidate(ebgp=False)
         ebgp = self.candidate(from_peer="other", ebgp=True)
-        best = _decision("me", {"a": ibgp, "b": ebgp}, _ZeroIgp())
+        best = best_path("me", {"a": ibgp, "b": ebgp}, _ZeroIgp())
         assert best is ebgp
 
     def test_local_origination_wins(self):
         local = self.candidate(from_peer=None, next_hop=None, ebgp=False)
         learned = self.candidate()
-        best = _decision("me", {"a": local, "b": learned}, _ZeroIgp())
+        best = best_path("me", {"a": local, "b": learned}, _ZeroIgp())
         assert best is local
 
     def test_unreachable_next_hop_excluded(self):
@@ -234,7 +234,7 @@ class TestDecision:
                 return float("inf")
 
         candidate = self.candidate()
-        assert _decision("me", {"a": candidate}, DeadIgp()) is None
+        assert best_path("me", {"a": candidate}, DeadIgp()) is None
 
     def test_igp_cost_tiebreak(self):
         class CostIgp:
@@ -243,7 +243,7 @@ class TestDecision:
 
         near = self.candidate(next_hop=IPv4Address("10.0.0.2"), from_peer="near")
         far = self.candidate(next_hop=IPv4Address("10.0.0.1"), from_peer="far")
-        best = _decision("me", {"a": far, "b": near}, CostIgp())
+        best = best_path("me", {"a": far, "b": near}, CostIgp())
         assert best is near
 
 

@@ -26,7 +26,6 @@ class TestLazyExports:
             "internet2",
             "Prefix",
             "IPv4Address",
-            "trace_packet",
             "parse_change",
             "parse_change_batch",
             "simulate",
