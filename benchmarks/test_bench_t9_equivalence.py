@@ -1,9 +1,9 @@
-"""T9 — correctness: incremental == full recompute, with speedups.
+"""T9 — correctness: incremental == full recompute.
 
-Reproduces the evaluation's correctness claim as a measured table: a
-randomized change stream per scenario family, every step checked
-against the snapshot-diff baseline; the pass rate must be 100% and the
-aggregate speedup is reported alongside.
+Reproduces the evaluation's correctness claim as a table: a randomized
+change stream per scenario family, every step checked against the
+snapshot-diff baseline; the pass rate must be 100%.  Speedup per
+change kind is T1's.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def _drive(oracle, generator, kinds, steps):
 def test_t9_equivalence():
     table = Table(
         "T9: incremental vs full equivalence (randomized streams)",
-        ["changes", "pass_rate", "dna_total_s", "baseline_total_s", "speedup"],
+        ["changes", "pass_rate"],
     )
     cases = [
         ("ring n=8", ring_ospf(8), ["link", "static", "cost"], 6),
@@ -65,8 +65,5 @@ def test_t9_equivalence():
             label,
             changes=oracle.stats.checked,
             pass_rate=oracle.stats.pass_rate,
-            dna_total_s=oracle.stats.incremental_time,
-            baseline_total_s=oracle.stats.baseline_time,
-            speedup=oracle.stats.mean_speedup,
         )
     table.emit()

@@ -3,7 +3,7 @@
 The benchmarks regenerate the paper's tables/figures as text: each
 bench builds a :class:`Table`, fills :class:`BenchRow` entries from
 measured runs, and prints it (captured into ``bench_output.txt`` by
-the top-level run).  The timings are reports, never gates: the
+the top-level run).  Its measurements are reports, never gates: the
 end-to-end benchmark under ``benchmarks/e2e`` is where time is
 measured.
 """

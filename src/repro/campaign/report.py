@@ -10,7 +10,6 @@ ranks them by blast radius.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
 
@@ -70,7 +69,6 @@ class ScenarioOutcome:
     pairs_gained: int = 0
     pairs_lost: int = 0
     segments: int = 0
-    duration: float = 0.0
     violations: dict[str, list[Violation]] = field(default_factory=dict)
     # Pair churn restricted to the campaign's monitored prefixes (e.g.
     # host subnets); None when the campaign monitors everything.  A
@@ -137,7 +135,6 @@ class ScenarioOutcome:
             pairs_gained=gained,
             pairs_lost=lost,
             segments=len(report.reach_segments),
-            duration=report.timings.get("total", 0.0),
             violations=violations,
             monitored_pairs_gained=monitored_gained,
             monitored_pairs_lost=monitored_lost,
@@ -206,7 +203,6 @@ class ScenarioOutcome:
             "pairs_gained": self.pairs_gained,
             "pairs_lost": self.pairs_lost,
             "segments": self.segments,
-            "duration": self.duration,
             "violations": {
                 name: [violation.to_dict() for violation in violations]
                 for name, violations in sorted(self.violations.items())
@@ -243,7 +239,6 @@ class ScenarioOutcome:
             pairs_gained=data["pairs_gained"],
             pairs_lost=data["pairs_lost"],
             segments=data["segments"],
-            duration=data["duration"],
             violations={
                 name: [Violation.from_dict(item) for item in violations]
                 for name, violations in data["violations"].items()
@@ -293,16 +288,11 @@ class CampaignReport:
         self.backend = backend
         self.jobs = jobs
         self.outcomes: list[ScenarioOutcome] = []
-        self.wall_time = 0.0
         # Merged work metrics across all outcomes (see finish()).
         self.metrics: MetricsRegistry = MetricsRegistry()
         # Merged structured event log across all provenance-enabled
         # outcomes (see finish()); empty otherwise.
         self.events: EventLog = EventLog()
-        # Sanctioned stopwatch: wall_time is the one explicitly
-        # labelled timing field (never a metric); comparisons
-        # canonicalize it to zero (service.protocol.canonical_result).
-        self._started = time.perf_counter()  # repro-lint: disable=D1
 
     # -- collection ----------------------------------------------------------
 
@@ -310,8 +300,6 @@ class CampaignReport:
         self.outcomes.append(outcome)
 
     def finish(self) -> "CampaignReport":
-        # Same sanctioned stopwatch as __init__ (operator-facing only).
-        self.wall_time = time.perf_counter() - self._started  # repro-lint: disable=D1
         # Merge per-scenario snapshots in enumeration order.  Both
         # backends add outcomes in that order and the snapshots are
         # deterministic work counts, so the merged registry — and its
@@ -361,10 +349,6 @@ class CampaignReport:
     def signatures(self) -> list[tuple[Any, ...] | None]:
         """Per-scenario behaviour signatures, enumeration order."""
         return [o.signature for o in self.outcomes]
-
-    def total_analysis_time(self) -> float:
-        """Sum of per-scenario analysis seconds (CPU work, not wall)."""
-        return sum(o.duration for o in self.outcomes)
 
     def chrome_trace(self) -> dict[str, Any]:
         """One Chrome trace-event timeline over every scenario's spans.
@@ -418,7 +402,7 @@ class CampaignReport:
         lines = [
             f"Campaign({self.label or 'unlabelled'}): "
             f"{len(self.outcomes)} scenarios via {self.backend} "
-            f"backend (jobs={self.jobs}) in {self.wall_time:.2f}s",
+            f"backend (jobs={self.jobs})",
         ]
         failed = self.failed()
         violating = self.violating()
@@ -456,7 +440,6 @@ class CampaignReport:
             "label": self.label,
             "backend": self.backend,
             "jobs": self.jobs,
-            "wall_time": self.wall_time,
             "outcomes": [outcome.to_dict() for outcome in self.outcomes],
             "metrics": self.metrics.to_payload(),
         }
@@ -471,7 +454,6 @@ class CampaignReport:
         report = cls(
             label=data["label"], backend=data["backend"], jobs=data["jobs"]
         )
-        report.wall_time = data["wall_time"]
         for outcome in data["outcomes"]:
             report.add(ScenarioOutcome.from_dict(outcome))
         if "metrics" in data:

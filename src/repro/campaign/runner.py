@@ -90,7 +90,7 @@ def _evaluate(
     # boundaries) and the parent merges snapshots in enumeration
     # order, so serial and multiprocessing backends aggregate to
     # byte-identical metrics.  The registry holds only deterministic
-    # work counts — wall time stays in report.timings and spans.
+    # work counts — wall time lives only in spans.
     # Provenance-enabled campaigns scope an event log the same way
     # (its payloads are deterministic too); ``with_spans`` scopes a
     # recording tracer whose wall-clock forest feeds the chrome

@@ -13,7 +13,7 @@ Operator-facing workflow over on-disk snapshots, built entirely on the
   runs the snapshot-diff baseline and verifies agreement, ``--json``
   emits the schema-versioned delta report.  ``--profile`` traces the
   analysis with :mod:`repro.obs` and emits the versioned span-tree
-  JSON (per-stage timings with dirty-set attribution);
+  JSON (per-stage durations with dirty-set attribution);
   ``--profile-out FILE`` / ``--chrome-out FILE`` write the span tree
   / a Chrome trace-event timeline to disk instead (``--json
   --profile`` emits both documents, report first).  ``--provenance``
@@ -196,11 +196,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             agree = (
                 report.behavior_signature() == reference.behavior_signature()
             )
-            speedup = (
-                reference.timings["total"] / max(report.timings["total"], 1e-9)
-            )
             if not quiet:
-                print(f"\nbaseline agrees: {agree} (speedup {speedup:.1f}x)")
+                print(f"\nbaseline agrees: {agree}")
             if not agree:
                 return 1
         if args.commit:
@@ -571,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit the schema-versioned delta report as JSON")
     analyze.add_argument("--profile", action="store_true",
                          help="trace the analysis and emit the versioned "
-                         "span-tree JSON (per-stage timings with dirty-set "
+                         "span-tree JSON (per-stage durations with dirty-set "
                          "attribution) to stdout; combine with --json by "
                          "using --profile-out instead")
     analyze.add_argument("--profile-out", metavar="FILE",

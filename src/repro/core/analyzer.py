@@ -78,9 +78,9 @@ class DifferentialNetworkAnalyzer:
         planner: PlannerConfig | None = None,
     ) -> None:
         self.snapshot = snapshot
-        # Observability is opt-in: the default NULL_TRACER times spans
-        # (feeding report.timings) but records nothing; the metrics
-        # registry accumulates deterministic work counts either way.
+        # Observability is opt-in: the default NULL_TRACER reads no
+        # clock and records nothing; the metrics registry accumulates
+        # deterministic work counts either way.
         # The event log (when attached) receives span/metric/provenance
         # records only for provenance-enabled passes.
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -161,7 +161,7 @@ class DifferentialNetworkAnalyzer:
             changes=len(batch),
             committed=committed,
             plan=plan.mode,
-        ) as root:
+        ):
             try:
                 with self.tracer.span("analyze.edits") as edits_span:
                     with self.tracer.span("analyze.epoch"):
@@ -210,10 +210,6 @@ class DifferentialNetworkAnalyzer:
                 if committed:
                     self.generation += 1
 
-        # Compatibility view: the pre-obs timing keys, now fed from
-        # span durations (the pipeline fills igp/bgp/fib/reachability).
-        report.timings["edits"] = edits_span.duration
-        report.timings["total"] = root.duration
         report.counters["edits_batched"] = edits_applied
         self.metrics.counter("analyze.calls").inc()
         self.metrics.counter("analyze.edits").inc(edits_applied)

@@ -368,8 +368,6 @@ def compose_reports(
         composed.reach_segments = compose_segment_lists(
             composed.reach_segments, report.reach_segments
         )
-        for key, value in report.timings.items():
-            composed.timings[key] = composed.timings.get(key, 0.0) + value
         for key, value in report.counters.items():
             if key == "atoms_total":
                 composed.counters[key] = value
@@ -379,14 +377,13 @@ def compose_reports(
 
 
 class DeltaReport:
-    """Everything one change did, plus how long it took to find out."""
+    """Everything one change did, plus the work it took to find out."""
 
     def __init__(self, label: str = "") -> None:
         self.label = label
         self.rib_changes: dict[str, dict[Prefix, tuple[Route | None, Route | None]]] = {}
         self.fib_changes: dict[str, dict[Prefix, tuple[FibEntry | None, FibEntry | None]]] = {}
         self.reach_segments: list[ReachSegment] = []
-        self.timings: dict[str, float] = {}
         self.counters: dict[str, int] = {}
         # Edit->delta attribution; populated only when the producing
         # analysis ran with ``provenance=True``.
@@ -548,7 +545,6 @@ class DeltaReport:
                 self.fib_changes, serialize.encode_fib_entry
             ),
             "reach_segments": [s.to_dict() for s in self.reach_segments],
-            "timings": dict(self.timings),
             "counters": dict(self.counters),
         }
         if self.provenance is not None:
@@ -582,7 +578,6 @@ class DeltaReport:
             ReachSegment.from_dict(segment)
             for segment in data["reach_segments"]
         ]
-        report.timings = dict(data["timings"])
         report.counters = dict(data["counters"])
         if "provenance" in data:
             report.provenance = ProvenanceRecord.from_dict(data["provenance"])
@@ -633,9 +628,6 @@ class DeltaReport:
             lines.append(f"    {segment}")
         if len(self.reach_segments) > 10:
             lines.append(f"    ... {len(self.reach_segments) - 10} more")
-        if self.timings:
-            timing = ", ".join(f"{k}={v * 1000:.2f}ms" for k, v in self.timings.items())
-            lines.append(f"  timings: {timing}")
         return "\n".join(lines)
 
     def __str__(self) -> str:

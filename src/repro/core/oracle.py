@@ -53,19 +53,11 @@ class OracleStats:
 
     checked: int = 0
     agreed: int = 0
-    incremental_time: float = 0.0
-    baseline_time: float = 0.0
     labels: list[str] = field(default_factory=list)
 
     @property
     def pass_rate(self) -> float:
         return self.agreed / self.checked if self.checked else 1.0
-
-    @property
-    def mean_speedup(self) -> float:
-        if self.incremental_time <= 0:
-            return float("inf")
-        return self.baseline_time / self.incremental_time
 
 
 class EquivalenceOracle:
@@ -85,8 +77,6 @@ class EquivalenceOracle:
         reference = baseline.analyze(change)
         report = self.analyzer.analyze(change)
         self.stats.checked += 1
-        self.stats.incremental_time += report.timings.get("total", 0.0)
-        self.stats.baseline_time += reference.timings.get("total", 0.0)
         self.stats.labels.append(change.label)
         agreed = report.behavior_signature() == reference.behavior_signature()
         if agreed:

@@ -400,7 +400,7 @@ class RecomputePipeline:
     Stateless between runs: every invocation reads the analyzer's
     converged state, consumes one :class:`DirtySet`, and writes the
     deltas into the given report.  The analyzer owns orchestration
-    (edit dispatch, journaling hooks, timings bookkeeping).
+    (edit dispatch, journaling hooks, the root spans).
     """
 
     def __init__(self, analyzer: "DifferentialNetworkAnalyzer") -> None:
@@ -442,13 +442,10 @@ class RecomputePipeline:
     def run(self, dirty: DirtySet, epoch: BgpEpoch, report: DeltaReport) -> None:
         """Stages 2–3: consume ``dirty``, write deltas into ``report``.
 
-        Fills the ``igp``/``bgp``/``fib``/``reachability`` timings and
-        the recompute counters; the caller owns ``edits``/``total``.
-
-        Every stage runs under a tracer span labelled with the
-        dirty-set sizes that explain its cost (per-stage DirtySet
-        attribution); the legacy timing keys are fed from the span
-        durations, so ``--json`` consumers see identical keys.
+        Fills the recompute counters.  Every stage runs under a tracer
+        span labelled with the dirty-set sizes that explain its cost
+        (per-stage DirtySet attribution); wall time lives only in
+        those spans.
         """
         analyzer = self.analyzer
         state = analyzer.state
@@ -465,7 +462,7 @@ class RecomputePipeline:
             spf_sources=sizes["spf_sources"],
             advert_prefixes=sizes["advert_prefixes"],
             touched_routers=sizes["touched_routers"],
-        ) as igp_span:
+        ):
             best_changed: BestChanged = {}
             igp_touched = self._recompute_ospf(
                 dirty, best_changed, report, attr
@@ -513,14 +510,6 @@ class RecomputePipeline:
                     lo, hi, dirty.origin("acl_span", (lo, hi)) or attr.fallback()
                 )
 
-        report.timings.update(
-            {
-                "igp": igp_span.duration,
-                "bgp": bgp_span.duration,
-                "fib": fib_span.duration,
-                "reachability": reach_span.duration,
-            }
-        )
         counters = {
             "spf_sources_recomputed": len(
                 {router for router, _area in dirty.ospf.sources}

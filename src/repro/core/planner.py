@@ -18,7 +18,7 @@ every prefix is dirty.
   (edit-level attribution needs the scoped cause bookkeeping), which
   makes the planner provenance-sound by construction.
 
-Both modes produce byte-identical reports (modulo timings and work
+Both modes produce byte-identical reports (modulo work
 counters): full mode relies on recompute idempotence — re-solving a
 clean prefix reproduces its solution exactly, and the FIB stage drops
 no-op entries.

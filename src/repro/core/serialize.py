@@ -29,7 +29,7 @@ from repro.core.errors import SchemaError
 from repro.dataplane.fib import FibEntry
 from repro.net.addr import IPv4Address, Prefix
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 __all__ = ["SCHEMA_VERSION", "KNOWN_KINDS", "SchemaError", "register_kind",
            "document", "check_document", "envelope", "check_envelope"]

@@ -10,8 +10,6 @@ and the cost baseline it must beat.
 
 from __future__ import annotations
 
-import time
-
 from repro.controlplane.simulation import NetworkState, simulate
 from repro.core.change import Change
 from repro.core.delta import DeltaReport, diff_reach_coverage
@@ -85,20 +83,10 @@ class SnapshotDiff:
 
         With ``commit`` the changed snapshot becomes the new base.
         """
-        t0 = time.perf_counter()
         before = self.base_state()
-        t1 = time.perf_counter()
         changed = change.applied_to_copy(self.snapshot)
         after = simulate(changed, precompute_reachability=True)
-        t2 = time.perf_counter()
         report = diff_states(before, after, label=change.label or "snapshot-diff")
-        t3 = time.perf_counter()
-        report.timings = {
-            "simulate_before": t1 - t0,
-            "simulate_after": t2 - t1,
-            "diff": t3 - t2,
-            "total": t3 - t0,
-        }
         report.counters = {
             "atoms_before": before.dataplane.atom_table.num_atoms(),
             "atoms_after": after.dataplane.atom_table.num_atoms(),

@@ -24,9 +24,8 @@ Suppression grammar (the comment may follow code on the same line):
 - ``# repro-lint: disable=J1,D1`` — several rules;
 - ``# repro-lint: disable-file=D1`` — suppress for the whole file.
 
-Suppressions are for *sanctioned* exceptions (e.g. the campaign
-report's wall-clock stopwatch, which the wire protocol zeroes); the
-policy in DESIGN.md requires a justifying comment next to each one.
+Suppressions are for *sanctioned* exceptions; the policy in DESIGN.md
+requires a justifying comment next to each one.
 """
 
 from __future__ import annotations

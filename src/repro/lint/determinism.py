@@ -31,11 +31,10 @@ import ast
 from repro.lint.base import FileContext, Finding, LintVisitor, Project, rule
 
 # Modules where wall-clock reads are the *point* (span timing, bench
-# harness) or feed an explicitly-labelled timing report.
+# harness).
 TIME_ALLOWLIST = (
     "repro/obs/trace.py",
     "repro/bench/",
-    "repro/core/snapshot_diff.py",
 )
 
 # Seeded / explicitly non-deterministic constructors are fine; it is

@@ -11,8 +11,7 @@ DESIGN.md fixes two conventions for the obs layer:
 - **Metrics are deterministic work counts, never wall time.**  Metric
   payloads ship across workers and must merge byte-identically; a
   duration smuggled into a counter breaks serial-vs-parallel equality.
-  Wall-clock belongs to spans (``Span.duration``) and the explicitly
-  labelled ``report.timings``.
+  Wall-clock belongs to spans (``Span.duration``) alone.
 
 This checker enforces both: literal first arguments of
 ``.span()``/``.counter()``/``.gauge()``/``.histogram()``/``.metric()``
@@ -128,7 +127,7 @@ class _ObsNamingVisitor(LintVisitor):
                     node,
                     f"metric .{method}() value {reason}; metrics are "
                     "deterministic work counts, wall time belongs to "
-                    "spans and report.timings",
+                    "spans",
                 )
 
 

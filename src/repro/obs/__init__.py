@@ -3,8 +3,8 @@
 The analysis engines answer *what changed*; this package answers
 *where the time and work went*.  It is zero-dependency (standard
 library only) and opt-in: the default :data:`NULL_TRACER` records
-nothing, so instrumentation sites cost two clock reads and one small
-allocation per span.
+nothing and reads no clock, so an instrumentation site costs one call
+returning a shared no-op span.
 
 Two complementary instruments:
 

@@ -5,11 +5,11 @@ root per top-level traced operation.  Opening a span while another is
 active nests it; the context-manager protocol keeps the stack honest
 even when the traced body raises.
 
-The default tracer in every analyzer is :data:`NULL_TRACER`: it still
-times each span (the analyzer's ``report.timings`` compatibility view
-is fed from span durations either way) but allocates no records, so
-always-on instrumentation stays cheap — ``benchmarks/test_bench_obs``
-holds the no-op path to <5% overhead on the k=8 batch workload.
+The default tracer in every analyzer is :data:`NULL_TRACER`: every
+span it opens is one shared no-op that reads no clock and allocates no
+record, so always-on instrumentation stays cheap.  Spans of a
+recording :class:`Tracer` are the only place the program keeps wall
+time; result documents carry none.
 
 Export:
 
@@ -97,11 +97,12 @@ class SpanRecord:
 class Span:
     """The live context-manager handle of one span.
 
-    Always measures wall time (``duration`` is readable after the
-    ``with`` block exits — the analyzer's ``report.timings`` keys are
-    fed from it); records a :class:`SpanRecord` only when opened by a
-    recording tracer.  :meth:`set` attaches labels discovered while
-    the span runs (e.g. how many prefixes a stage ended up solving).
+    Opened by a recording tracer, it measures wall time (``duration``
+    is readable after the ``with`` block exits) into its
+    :class:`SpanRecord`; the null tracer's shared span has no record,
+    reads no clock and keeps ``duration`` at zero.  :meth:`set`
+    attaches labels discovered while the span runs (e.g. how many
+    prefixes a stage ended up solving).
     """
 
     __slots__ = ("_tracer", "record", "duration", "_start")
@@ -121,7 +122,7 @@ class Span:
     def __enter__(self) -> "Span":
         if self._tracer is not None and self.record is not None:
             self._tracer._push(self.record)
-        self._start = time.perf_counter()
+            self._start = time.perf_counter()
         return self
 
     def __exit__(
@@ -130,8 +131,8 @@ class Span:
         exc: BaseException | None,
         tb: TracebackType | None,
     ) -> None:
-        self.duration = time.perf_counter() - self._start
         if self._tracer is not None and self.record is not None:
+            self.duration = time.perf_counter() - self._start
             self._tracer._pop(self.record, self._start, self.duration)
 
 
@@ -257,12 +258,11 @@ class Tracer:
 
 
 class NullTracer(Tracer):
-    """The default no-op tracer: times spans, records nothing.
+    """The default no-op tracer: times nothing, records nothing.
 
-    Instrumentation sites read durations off their spans (feeding the
-    ``report.timings`` compatibility keys), so the null span still
-    takes two clock reads — but no record, no tree, no labels are
-    kept, and label values passed as keywords are dropped unseen.
+    Every :meth:`span` call returns the same stateless span — no clock
+    read, no record, no tree; label values passed as keywords are
+    dropped unseen.
     """
 
     @property
@@ -270,11 +270,13 @@ class NullTracer(Tracer):
         return False
 
     def span(self, name: str, **labels: LabelValue) -> Span:
-        return Span(None, None)
+        return _NULL_SPAN
 
     def __repr__(self) -> str:
         return "NullTracer()"
 
+
+_NULL_SPAN = Span(None, None)
 
 NULL_TRACER = NullTracer()
 """Shared default tracer; stateless, safe to hand to every analyzer."""

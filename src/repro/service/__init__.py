@@ -24,10 +24,9 @@ serves concurrent ``preview``/``analyze_batch``/``campaign``/
   (``Network.connect()`` / ``repro client``) speaking the same frames
   and decoding the same versioned documents.
 
-Responses are deterministic by construction: wall-clock timing maps
-are stripped from result documents (latency lives in server spans and
-``stats``), which is what lets a cache hit be byte-identical to the
-cold miss that populated it.
+Responses are deterministic by construction: result documents carry
+no wall clock (latency lives only in server spans), which is what lets
+a cache hit be byte-identical to the cold miss that populated it.
 """
 
 from repro.service.cache import ResultCache, change_digest, options_digest

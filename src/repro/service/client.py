@@ -128,8 +128,7 @@ class ServiceClient:
 
         ``changes`` is a change-script string, a :class:`Change`, or a
         sequence of Changes (serialized over the wire as a script).
-        The report matches in-process ``Network.preview`` except that
-        wall-clock ``timings`` are stripped server-side.
+        The report matches in-process ``Network.preview``.
         """
         result = self.request(
             "preview",

@@ -44,6 +44,11 @@ from repro.core.codec import CodecError
 from repro.core.serialize import check_document, document
 from repro.topology.model import TopologyError
 
+#: Longest request frame (bytes, newline included) the server reads;
+#: a longer one is answered with a ProtocolError and the connection
+#: closes, since the stream cannot be resynchronised mid-frame.
+MAX_FRAME_BYTES = 64 * 1024
+
 #: Every op the service answers; anything else is a ProtocolError.
 OPS = (
     "ping",
@@ -170,11 +175,10 @@ def strip_timings(doc: Any) -> Any:
     """A deep copy with every wall-clock field zeroed.
 
     ``timings`` maps empty; ``duration``/``wall_time`` scalars zero.
-    Wall-clock is the one nondeterministic part of result documents;
-    the service strips it so responses are deterministic functions of
-    (base, changes, options) — the property the result cache's
-    byte-identity contract rests on.  Latency is still observable via
-    server spans and the ``stats`` op.
+    Result documents carry no wall clock, so this only matters for
+    documents that embed span payloads (their ``duration``) and for
+    documents written by older builds; comparing such documents
+    through this function keeps the comparison about behaviour.
     """
     if isinstance(doc, dict):
         out: dict[str, Any] = {}

@@ -82,12 +82,15 @@ class ReproService:
         kind, host, port = protocol.parse_address(address)
         if kind == "unix":
             self._server = await asyncio.start_unix_server(
-                self._handle_client, path=host
+                self._handle_client, path=host, limit=protocol.MAX_FRAME_BYTES
             )
             self.address = host
         else:
             self._server = await asyncio.start_server(
-                self._handle_client, host=host, port=port
+                self._handle_client,
+                host=host,
+                port=port,
+                limit=protocol.MAX_FRAME_BYTES,
             )
             bound = self._server.sockets[0].getsockname()
             self.address = f"{bound[0]}:{bound[1]}"
@@ -153,7 +156,24 @@ class ReproService:
     ) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Frame over MAX_FRAME_BYTES: answer once, then
+                    # close — the rest of it cannot be told apart from
+                    # the next frame.
+                    self.network.metrics.counter("service.errors").inc()
+                    error = ProtocolError(
+                        "request frame exceeds "
+                        f"{protocol.MAX_FRAME_BYTES} bytes"
+                    )
+                    writer.write(
+                        protocol.encode_frame(
+                            protocol.error_frame(None, None, error)
+                        )
+                    )
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 frame = await self._answer(line)
@@ -225,11 +245,7 @@ class ReproService:
                 f"service.{op}", id=request_id, cache="miss"
             ):
                 result = await self._loop.run_in_executor(None, work)
-        canonical = json.dumps(
-            protocol.strip_timings(result),
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        canonical = json.dumps(result, sort_keys=True, separators=(",", ":"))
         self.cache.put(key, canonical)
         return protocol.response(
             request_id, op, json.loads(canonical), cache="miss"

@@ -98,7 +98,7 @@ class TestAnalyzerUnits:
             "atoms_total",
         ):
             assert key in report.counters
-        assert report.timings["total"] > 0
+        assert report.counters["spf_sources_recomputed"] > 0
 
     def test_bgp_announce_withdraw(self, internet2_scenario):
         analyzer = DifferentialNetworkAnalyzer(internet2_scenario.snapshot.clone())
@@ -246,13 +246,12 @@ class TestEquivalenceOracle:
             oracle.step(remove)
         assert oracle.stats.pass_rate == 1.0
 
-    def test_oracle_reports_speedup(self):
+    def test_oracle_counts_every_step(self):
         scenario = ring_ospf(8)
         oracle = EquivalenceOracle(DifferentialNetworkAnalyzer(scenario.snapshot))
         generator = ChangeGenerator(scenario, seed=27)
         add, remove = generator.random_static_route()
         oracle.step(add)
         oracle.step(remove)
-        assert oracle.stats.checked == 2
-        assert oracle.stats.incremental_time > 0
-        assert oracle.stats.baseline_time > 0
+        assert oracle.stats.checked == oracle.stats.agreed == 2
+        assert oracle.stats.labels == [add.label, remove.label]

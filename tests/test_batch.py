@@ -4,7 +4,7 @@ The load-bearing contract of PR 5: for any sequence of changes,
 ``analyze_batch`` (apply every edit first, union the dirty sets, run
 one recompute pass) must produce a report equal to the sequential
 composition of per-change ``analyze`` calls — byte-identical
-``to_dict()`` output modulo timings/counters — and must agree with the
+``to_dict()`` output modulo counters — and must agree with the
 :class:`~repro.core.snapshot_diff.SnapshotDiff` ground truth on the
 combined change.  The property is exercised across every change kind
 in :mod:`repro.workloads.changes`.
@@ -52,9 +52,8 @@ from repro.workloads.scenarios import internet2_bgp, ring_ospf
 
 
 def _stripped(report) -> str:
-    """Canonical JSON of a report minus timing/work statistics."""
+    """Canonical JSON of a report minus work statistics."""
     document = report.to_dict()
-    document.pop("timings")
     document.pop("counters")
     return json.dumps(document, sort_keys=True)
 
@@ -518,7 +517,6 @@ class TestBatchProvenance:
         assert traced_doc.pop("provenance")["kind"] == "provenance"
         plain_doc = plain.to_dict()
         for doc in (plain_doc, traced_doc):
-            doc.pop("timings")
             doc.pop("counters")
         assert json.dumps(plain_doc, sort_keys=True) == json.dumps(
             traced_doc, sort_keys=True

@@ -44,9 +44,8 @@ from repro.workloads.changes import ChangeGenerator
 
 
 def _stripped(report) -> str:
-    """Canonical JSON of a report minus timing/work statistics."""
+    """Canonical JSON of a report minus work statistics."""
     document = report.to_dict()
-    document.pop("timings")
     document.pop("counters")
     return json.dumps(document, sort_keys=True)
 
@@ -250,7 +249,7 @@ class TestAttributionByteIdentity:
         batched_doc = batched.to_dict()
         composed_doc = composed.to_dict()
         for doc in (batched_doc, composed_doc):
-            doc.pop("timings"), doc.pop("counters"), doc.pop("provenance")
+            doc.pop("counters"), doc.pop("provenance")
         assert json.dumps(batched_doc, sort_keys=True) == json.dumps(
             composed_doc, sort_keys=True
         )

@@ -194,9 +194,9 @@ class TestServiceRequests:
             expected = local.preview(changes, label="s").to_dict()
         with connect(address) as client:
             report = client.preview(script, label="s")
-        assert json.dumps(
-            report.to_dict(), sort_keys=True
-        ) == json.dumps(protocol.strip_timings(expected), sort_keys=True)
+        assert json.dumps(report.to_dict(), sort_keys=True) == json.dumps(
+            expected, sort_keys=True
+        )
 
     def test_warm_hit_is_byte_identical_and_skips_pipeline(self, live):
         service, address = live
@@ -230,9 +230,7 @@ class TestServiceRequests:
             for script in SCRIPTS:
                 changes = parse_change_batch(script, label=script)
                 serial[script] = json.dumps(
-                    protocol.strip_timings(
-                        local.preview(changes, label=script).to_dict()
-                    ),
+                    local.preview(changes, label=script).to_dict(),
                     sort_keys=True,
                 )
 
@@ -311,6 +309,34 @@ class TestServiceErrors:
         assert frame["kind"] == "error"
         with pytest.raises(ProtocolError):
             protocol.raise_error_frame(frame)
+
+    def test_oversized_frame_gets_a_typed_error_and_service_survives(
+        self, caplog
+    ):
+        service = ReproService(ring_network(), cache_size=4)
+        try:
+            address = service.start_in_thread("127.0.0.1:0")
+            errors = service.network.metrics.counter("service.errors")
+            errors_before = errors.value
+            digest_before = service.base_digest
+            with connect(address) as client:
+                client._socket.sendall(
+                    b"x" * (protocol.MAX_FRAME_BYTES + 4464) + b"\n"
+                )
+                line = client._reader.readline()
+            frame = protocol.decode_frame(line, "response")
+            with pytest.raises(ProtocolError, match="exceeds 65536 bytes"):
+                protocol.raise_error_frame(frame)
+            assert errors.value == errors_before + 1
+            with connect(address) as client:
+                assert client.ping()["base_digest"] == digest_before
+            assert service.base_digest == digest_before
+            assert not [
+                record for record in caplog.records
+                if record.name == "asyncio" and record.levelname == "ERROR"
+            ]
+        finally:
+            service.stop()
 
 
 class TestLifecycle:
