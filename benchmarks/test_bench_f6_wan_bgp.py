@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from repro.bench.harness import Table, median, time_call
 from repro.bench.workloads import wan_k8_batch
+from repro.controlplane.bgp import discover_sessions, session_scan_size
 from repro.core.analyzer import DifferentialNetworkAnalyzer
 from repro.core.change import Change, LinkDown, LinkUp
-from repro.core.planner import PlannerConfig
 from repro.core.snapshot_diff import SnapshotDiff
 from repro.workloads.changes import ChangeGenerator
 from repro.workloads.scenarios import internet2_bgp
@@ -91,14 +91,10 @@ def test_f6_session_edit_scoped_rescan():
     """A single-session edit revalidates a fraction of the session table.
 
     The staged BGP pipeline restricts session discovery to the dirty
-    (router, peer) pairs; ``scope_sessions=False`` is the pre-staging
-    behaviour (every directed neighbor statement revalidated each
-    pass).  Both analyzers pin ``full_scope_ratio`` above 1 so the
-    batch planner can never short-circuit to full resimulation: on a
-    scenario this small the default crossover fires even for
-    one-session edits (a teardown dirties every prefix via the
-    liveness diff — see EXPERIMENTS.md), which would make the mode,
-    not the session stage, the thing under test.
+    (router, peer) pairs; a full rescan (``discover_sessions``) would
+    revalidate every directed neighbor statement.  The scoped session
+    list must equal that full rescan and the report must match
+    SnapshotDiff.
 
     The acceptance gate is on the deterministic work counter, not on
     wall-clock: scoped must rescan at least one directed session but
@@ -109,47 +105,32 @@ def test_f6_session_edit_scoped_rescan():
     teardown, restore = ChangeGenerator(
         scenario, seed=601
     ).random_session_flap()
-
-    scoped = DifferentialNetworkAnalyzer(
-        scenario.snapshot.clone(),
-        planner=PlannerConfig(full_scope_ratio=1.1),
-    )
-    full = DifferentialNetworkAnalyzer(
-        scenario.snapshot.clone(),
-        planner=PlannerConfig(full_scope_ratio=1.1, scope_sessions=False),
-    )
+    analyzer = DifferentialNetworkAnalyzer(scenario.snapshot.clone())
 
     scoped_times: list[float] = []
-    full_times: list[float] = []
     for _ in range(3):
         seconds, scoped_report = time_call(
-            lambda: scoped.what_if(teardown), repeat=1
+            lambda: analyzer.what_if(teardown), repeat=1
         )
         scoped_times.append(seconds)
-        seconds, full_report = time_call(
-            lambda: full.what_if(teardown), repeat=1
-        )
-        full_times.append(seconds)
 
     # Scoping must not change the answer.
-    assert (
-        scoped_report.behavior_signature()
-        == full_report.behavior_signature()
-    )
+    reference = SnapshotDiff(scenario.snapshot.clone()).analyze(teardown)
+    assert scoped_report.behavior_signature() == reference.behavior_signature()
+    with analyzer.fork():
+        analyzer.analyze(teardown)
+        assert analyzer.state.bgp_sessions == discover_sessions(
+            analyzer.snapshot, analyzer.state.address_index
+        )
+        full_rescanned = session_scan_size(analyzer.snapshot)
 
     scoped_rescanned = scoped_report.counters["bgp_sessions_rescanned"]
-    full_rescanned = full_report.counters["bgp_sessions_rescanned"]
     table = Table(
         "F6: single-session teardown — scoped session discovery "
         "vs full rescan",
         ["rescanned", "prefixes_resolved", "median_ms"],
     )
-    table.add(
-        "full rescan (scope_sessions=False)",
-        rescanned=full_rescanned,
-        prefixes_resolved=full_report.counters["bgp_prefixes_resolved"],
-        median_ms=median(full_times) * 1e3,
-    )
+    table.add("full rescan (session_scan_size)", rescanned=full_rescanned)
     table.add(
         "scoped (dirty pairs only)",
         rescanned=scoped_rescanned,

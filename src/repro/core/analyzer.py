@@ -50,7 +50,7 @@ from repro.core.delta import DeltaReport
 from repro.core.forking import ForkError, UndoJournal
 from repro.core.handlers import handler_for
 from repro.core.pipeline import DirtySet, RecomputePipeline
-from repro.core.planner import BatchPlanner, PlannerConfig
+from repro.core.planner import BatchPlanner
 from repro.core.snapshot import Snapshot
 from repro.obs import NULL_TRACER, EventLog, MetricsRegistry, Tracer
 from repro.obs.provenance import ProvenanceRecord
@@ -75,7 +75,6 @@ class DifferentialNetworkAnalyzer:
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
         events: EventLog | None = None,
-        planner: PlannerConfig | None = None,
     ) -> None:
         self.snapshot = snapshot
         # Observability is opt-in: the default NULL_TRACER reads no
@@ -92,9 +91,9 @@ class DifferentialNetworkAnalyzer:
         self._origins = collect_origins(snapshot)
         self._journal: UndoJournal | None = None
         self._pipeline = RecomputePipeline(self)
-        # The batch planner decides, per batch and before any edit
-        # applies, whether scoped recompute still beats a full re-solve.
-        self.planner = BatchPlanner(self, planner or PlannerConfig())
+        # A static BGP scope estimate; nothing here reads it (see
+        # repro.core.planner for why it survives).
+        self.planner = BatchPlanner(self)
         # Bumped on every *committed* analysis; callers caching derived
         # artifacts (e.g. the campaign runner's pickled base payload)
         # use it to detect that the converged state moved.
@@ -144,10 +143,6 @@ class DifferentialNetworkAnalyzer:
         :attr:`DeltaReport.provenance` / :meth:`DeltaReport.why`.
         """
         batch = list(changes)
-        # The planner reads converged state only, so it must run before
-        # any edit applies; its decision is recorded on the root span.
-        plan = self.planner.plan(batch, provenance=provenance)
-        self.metrics.counter(f"planner.{plan.mode}").inc()
         report = DeltaReport(label if label is not None else batch_label(batch))
         record: ProvenanceRecord | None = None
         if provenance:
@@ -160,14 +155,11 @@ class DifferentialNetworkAnalyzer:
             label=report.label,
             changes=len(batch),
             committed=committed,
-            plan=plan.mode,
         ):
             try:
                 with self.tracer.span("analyze.edits") as edits_span:
                     with self.tracer.span("analyze.epoch"):
-                        epoch = self._pipeline.begin(
-                            full_scope=plan.mode == "full"
-                        )
+                        epoch = self._pipeline.begin()
                     dirty = DirtySet()
                     edits_applied = 0
                     if record is not None and self.events is not None:

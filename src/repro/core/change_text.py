@@ -74,12 +74,32 @@ def _parse_static(tokens: list[str]) -> tuple[str, StaticRouteConfig]:
     raise ValueError("bad static target")
 
 
+def _parse_options(tokens: list[str], keys: tuple[str, ...]) -> dict[str, str]:
+    """``key value`` pairs, each key one of ``keys`` and given once."""
+    options: dict[str, str] = {}
+    for index in range(0, len(tokens), 2):
+        key = tokens[index]
+        if key not in keys or key in options:
+            raise ValueError(
+                f"bad option {key!r}; expected {' / '.join(keys)} once each"
+            )
+        if index + 1 == len(tokens):
+            raise ValueError(f"option {key!r} needs a value")
+        options[key] = tokens[index + 1]
+    return options
+
+
 def _parse_acl_rule(tokens: list[str]) -> AclRule:
     # (permit|deny) dst <prefix> [src <prefix>] [proto <n>] [dport lo-hi]
-    action = AclAction.PERMIT if tokens[0] == "permit" else AclAction.DENY
+    actions = {"permit": AclAction.PERMIT, "deny": AclAction.DENY}
+    if tokens[0] not in actions:
+        raise ValueError(f"expected acl permit|deny, got {tokens[0]!r}")
+    action = actions[tokens[0]]
     fields: dict = {}
     rest = tokens[1:]
     while rest:
+        if len(rest) < 2:
+            raise ValueError(f"acl field {rest[0]!r} needs a value")
         if rest[0] == "dst":
             fields["dst"] = Prefix(rest[1])
         elif rest[0] == "src":
@@ -100,12 +120,13 @@ def _parse_acl_rule(tokens: list[str]) -> AclRule:
 
 def _parse_edit(tokens: list[str]) -> Edit:
     head = tokens[0]
-    if head == "link" and len(tokens) >= 4:
+    if head == "link":
+        if len(tokens) not in (4, 6):
+            raise ValueError(f"link takes exactly 4 or 6 tokens, got {len(tokens)}")
         cls = {"down": LinkDown, "up": LinkUp}.get(tokens[1])
         if cls is None:
             raise ValueError("expected link down|up")
-        extra = tokens[4:6] if len(tokens) >= 6 else (None, None)
-        return cls(tokens[2], tokens[3], *extra)
+        return cls(*tokens[2:])
     if head == "interface" and len(tokens) == 4:
         cls = {"shutdown": ShutdownInterface, "enable": EnableInterface}.get(
             tokens[1]
@@ -124,7 +145,7 @@ def _parse_edit(tokens: list[str]) -> Edit:
         if tokens[1] == "cost" and len(tokens) == 5:
             return SetOspfCost(tokens[2], tokens[3], int(tokens[4]))
         if tokens[1] == "enable" and len(tokens) >= 4:
-            options = dict(zip(tokens[4::2], tokens[5::2]))
+            options = _parse_options(tokens[4:], ("area", "cost"))
             return EnableOspfInterface(
                 tokens[2],
                 tokens[3],
@@ -267,6 +288,8 @@ def _serialize_edit(edit: Edit) -> str:
     if isinstance(edit, SetOspfCost):
         return f"ospf cost {edit.router} {edit.interface} {edit.cost}"
     if isinstance(edit, EnableOspfInterface):
+        if edit.passive:
+            raise ValueError("cannot serialize a passive EnableOspfInterface")
         return (
             f"ospf enable {edit.router} {edit.interface} "
             f"area {edit.area} cost {edit.cost}"

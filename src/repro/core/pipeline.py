@@ -30,9 +30,7 @@ from typing import TYPE_CHECKING, cast
 from repro.controlplane.bgp import (
     SessionPair,
     collect_origins,
-    discover_sessions,
     discover_sessions_for,
-    session_scan_size,
     solve_prefix,
 )
 from repro.controlplane.connected import connected_routes, static_routes
@@ -273,16 +271,9 @@ class BgpEpoch:
     Captured *before* any edit applies (IGP costs and session liveness
     feed the BGP decision process, so their pre-images must be frozen
     first), and consumed exactly once by :meth:`RecomputePipeline.run`.
-
-    ``full_scope`` marks an epoch captured for a planner-chosen full
-    resimulation: the per-pair fingerprints and liveness pre-images
-    are skipped (their diffs are subsumed by re-solving every prefix
-    and re-checking every BGP FIB entry), which is exactly the capture
-    cost the planner is amortising away.
     """
 
     active: bool
-    full_scope: bool = False
     pair_index: dict[BgpPair, set[Prefix]] = field(default_factory=dict)
     pre_fingerprint: dict[BgpPair, Fingerprint] = field(default_factory=dict)
     pre_liveness: dict[BgpPair, bool] = field(default_factory=dict)
@@ -413,18 +404,10 @@ class RecomputePipeline:
     # Epoch capture (before any edit applies)
     # ------------------------------------------------------------------
 
-    def begin(self, full_scope: bool = False) -> BgpEpoch:
-        """Freeze the pre-edit BGP observations for one recompute pass.
-
-        With ``full_scope`` (planner-chosen full resimulation) the
-        pair fingerprints and liveness pre-images are not captured:
-        the run re-solves every prefix and re-derives every BGP FIB
-        entry, so there is nothing to diff against.
-        """
+    def begin(self) -> BgpEpoch:
+        """Freeze the pre-edit BGP observations for one recompute pass."""
         if not self._bgp_active():
             return BgpEpoch(active=False)
-        if full_scope:
-            return BgpEpoch(active=True, full_scope=True)
         pair_index = self._bgp_pair_index()
         return BgpEpoch(
             active=True,
@@ -480,7 +463,6 @@ class RecomputePipeline:
             bgp_adj_rib=sizes["bgp_adj_rib"],
             bgp_policy=sizes["bgp_policy"],
             all_bgp_dirty=dirty.all_bgp_dirty,
-            full_scope=epoch.full_scope,
         ) as bgp_span:
             solved = 0
             rescanned = 0
@@ -886,7 +868,7 @@ class RecomputePipeline:
         state = analyzer.state
         tracer = analyzer.tracer
         bgp_dirty: set[Prefix] = set(dirty.bgp_prefixes)
-        all_bgp_dirty = dirty.all_bgp_dirty or epoch.full_scope
+        all_bgp_dirty = dirty.all_bgp_dirty
 
         # Per-prefix cause bookkeeping (provenance mode): every branch
         # that dirties a prefix notes *why*; ``all_cause`` backs the
@@ -907,7 +889,7 @@ class RecomputePipeline:
             "pipeline.bgp.sessions", pairs=len(dirty.bgp_sessions)
         ) as sessions_span:
             rescanned, session_all_dirty = self._bgp_sessions_stage(
-                dirty, epoch, bgp_dirty, note, all_cause, attr
+                dirty, bgp_dirty, note, all_cause, attr
             )
             all_bgp_dirty = all_bgp_dirty or session_all_dirty
             sessions_span.set(rescanned=rescanned)
@@ -992,30 +974,12 @@ class RecomputePipeline:
                 if key not in best_changed:
                     best = state.ribs[router].best(prefix)
                     best_changed[key] = (best, best)
-            if epoch.full_scope and not (
-                dirty.ospf.is_empty() and not dirty.touched_routers
-            ):
-                # A full-scope pass skipped the fingerprint/liveness
-                # pre-images, so resolution-only FIB drift was never
-                # detected — re-check every BGP-routed entry instead.
-                # Drift needs an IGP change (the fingerprints hash
-                # ``state.igp`` only), so a batch whose IGP axes are
-                # clean provably cannot drift and skips the recheck.
-                # ``_update_fibs`` drops no-op entries either way, so
-                # the report stays byte-identical to the scoped path.
-                for prefix, solution in state.bgp_solutions.items():
-                    for router in solution.best:
-                        key = (router, prefix)
-                        if key not in best_changed:
-                            best = state.ribs[router].best(prefix)
-                            best_changed[key] = (best, best)
             decision_span.set(prefixes_solved=len(bgp_dirty))
         return len(bgp_dirty), rescanned
 
     def _bgp_sessions_stage(
         self,
         dirty: DirtySet,
-        epoch: BgpEpoch,
         bgp_dirty: set[Prefix],
         note: "Callable[[Prefix, set[int]], None]",
         all_cause: set[int],
@@ -1025,35 +989,21 @@ class RecomputePipeline:
 
         Re-validates only the dirtied directed ``(local, peer)`` pairs
         (``kept + rediscovered``, both canonically ordered, is
-        byte-identical to a full rescan) unless scoping is disabled.
-        Scoping stays on during full-scope passes: full mode re-solves
-        every *prefix*, but which sessions exist depends only on the
-        applied edits, so the pair-scoped rebuild is still exact.
-        Removed sessions scope down to the prefixes flowing over them;
-        added sessions escalate to all-dirty (a new session can
-        attract any prefix).  Returns ``(session slots rescanned,
-        all-dirty escalation)``.
+        byte-identical to a full rescan).  Removed sessions scope down
+        to the prefixes flowing over them; added sessions escalate to
+        all-dirty (a new session can attract any prefix).  Returns
+        ``(session slots rescanned, all-dirty escalation)``.
         """
         analyzer = self.analyzer
         state = analyzer.state
         pairs = set(dirty.bgp_sessions)
         if not pairs:
             return 0, False
-        scoped = analyzer.planner.config.scope_sessions
-        if scoped:
-            kept = [s for s in state.bgp_sessions if s.key not in pairs]
-            rediscovered = discover_sessions_for(
-                analyzer.snapshot, state.address_index, pairs
-            )
-            new_sessions = sorted(
-                kept + rediscovered, key=lambda s: s.sort_key
-            )
-            rescanned = len(pairs)
-        else:
-            new_sessions = discover_sessions(
-                analyzer.snapshot, state.address_index
-            )
-            rescanned = session_scan_size(analyzer.snapshot)
+        kept = [s for s in state.bgp_sessions if s.key not in pairs]
+        rediscovered = discover_sessions_for(
+            analyzer.snapshot, state.address_index, pairs
+        )
+        new_sessions = sorted(kept + rediscovered, key=lambda s: s.sort_key)
         old_keys = {
             (s.local, s.peer, s.local_ip, s.peer_ip)
             for s in state.bgp_sessions
@@ -1087,7 +1037,7 @@ class RecomputePipeline:
         if analyzer._journal is not None:
             analyzer._journal.save_sessions()
         state.bgp_sessions = new_sessions
-        return rescanned, all_bgp
+        return len(pairs), all_bgp
 
     def _bgp_policy_stage(
         self,
@@ -1165,55 +1115,47 @@ class RecomputePipeline:
         beyond explicit announce/withdraw edits (redistribute-connected
         picking up connected-route changes) dirties the drifted
         prefixes.  Returns ``(resolution-only refreshes, liveness
-        escalation)``.  Skips the pre-image diffs on full-scope passes
-        (nothing was captured — the decision stage re-solves and
-        re-checks everything instead).
+        escalation)``.
         """
         analyzer = self.analyzer
         state = analyzer.state
         resolution_refresh: set[RibKey] = set()
         liveness_dirty = False
-        if not epoch.full_scope:
-            for pair, prefixes in epoch.pair_index.items():
-                post = self._pair_fingerprint(pair)
-                pre = epoch.pre_fingerprint[pair]
-                if pre == post:
-                    continue
-                pair_igp_cause = (
-                    attr.igp_cause_at(pair[0]) if attr is not None else None
-                )
-                if pre[0] != post[0]:
-                    bgp_dirty.update(prefixes)
-                    if attr is not None and pair_igp_cause is not None:
-                        for prefix in prefixes:
-                            note(prefix, pair_igp_cause)
-                if pre[1] != post[1]:
-                    # Even when the decision holds, the resolved next
-                    # hops changed — those FIB entries must be rebuilt.
-                    router = pair[0]
+        for pair, prefixes in epoch.pair_index.items():
+            post = self._pair_fingerprint(pair)
+            pre = epoch.pre_fingerprint[pair]
+            if pre == post:
+                continue
+            pair_igp_cause = (
+                attr.igp_cause_at(pair[0]) if attr is not None else None
+            )
+            if pre[0] != post[0]:
+                bgp_dirty.update(prefixes)
+                if attr is not None and pair_igp_cause is not None:
                     for prefix in prefixes:
-                        solution = state.bgp_solutions.get(prefix)
-                        if solution is None:
-                            continue
-                        best = solution.best.get(router)
-                        if best is not None and best.next_hop == pair[1]:
-                            resolution_refresh.add((router, prefix))
-                            if (
-                                attr is not None
-                                and pair_igp_cause is not None
-                            ):
-                                attr.resolution_causes.setdefault(
-                                    (router, prefix), set()
-                                ).update(pair_igp_cause)
-            post_liveness = self._session_liveness()
-            if epoch.pre_liveness != post_liveness:
-                liveness_dirty = True
-                if attr is not None:
-                    for pair in set(epoch.pre_liveness) | set(post_liveness):
-                        if epoch.pre_liveness.get(pair) != post_liveness.get(
-                            pair
-                        ):
-                            all_cause |= attr.igp_cause_at(pair[0])
+                        note(prefix, pair_igp_cause)
+            if pre[1] != post[1]:
+                # Even when the decision holds, the resolved next
+                # hops changed — those FIB entries must be rebuilt.
+                router = pair[0]
+                for prefix in prefixes:
+                    solution = state.bgp_solutions.get(prefix)
+                    if solution is None:
+                        continue
+                    best = solution.best.get(router)
+                    if best is not None and best.next_hop == pair[1]:
+                        resolution_refresh.add((router, prefix))
+                        if attr is not None and pair_igp_cause is not None:
+                            attr.resolution_causes.setdefault(
+                                (router, prefix), set()
+                            ).update(pair_igp_cause)
+        post_liveness = self._session_liveness()
+        if epoch.pre_liveness != post_liveness:
+            liveness_dirty = True
+            if attr is not None:
+                for pair in set(epoch.pre_liveness) | set(post_liveness):
+                    if epoch.pre_liveness.get(pair) != post_liveness.get(pair):
+                        all_cause |= attr.igp_cause_at(pair[0])
 
         # Origination drift beyond explicit announce/withdraw edits:
         # redistribute-connected picks up connected-route changes.

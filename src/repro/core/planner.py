@@ -1,32 +1,16 @@
-"""The batch planner: scoped recompute vs. full resimulation.
+"""A static estimate of a batch's BGP blast radius.
 
-Scoped recomputation wins when a batch dirties a small fraction of
-the BGP solution space, but it is not free: the epoch capture
-(per-pair IGP fingerprints, multihop liveness pre-images) and the
-per-axis scoping scans are overhead a full re-solve never pays.  Past
-a crossover fraction — measured in EXPERIMENTS.md — re-solving every
-prefix outright is cheaper than carefully working out that almost
-every prefix is dirty.
+:class:`BatchPlanner` counts, before any edit applies, how many BGP
+prefixes a batch can dirty.  BGP-surface edits are estimated
+precisely; IGP edits estimate zero (their BGP fallout is discovered
+by the adj-RIB stage's fingerprint diffs); ``AddBgpNeighbor`` counts
+every prefix, since a completed session can attract any of them.
 
-:class:`BatchPlanner` makes that call *before* any edit applies:
-
-- **scoped** (the default) — run the normal differential pipeline;
-- **full** — the batch's statically estimated BGP blast radius
-  exceeds ``full_scope_ratio`` of the current solution space: skip
-  the epoch pre-images, mark everything dirty, re-solve every prefix
-  and re-check every BGP FIB entry.  Chosen only with provenance off
-  (edit-level attribution needs the scoped cause bookkeeping), which
-  makes the planner provenance-sound by construction.
-
-Both modes produce byte-identical reports (modulo work
-counters): full mode relies on recompute idempotence — re-solving a
-clean prefix reproduces its solution exactly, and the FIB stage drops
-no-op entries.
-
-The estimate is *static* (pre-application) and deliberately one-sided:
-BGP-surface edits are estimated precisely; IGP edits estimate zero
-(their BGP fallout is discovered by the adj-RIB stage's fingerprint
-diffs), keeping full mode off the common what-if paths.
+Nothing in the analyzer reads the estimate: every batch runs the one
+scoped pipeline in :mod:`repro.core.pipeline`.  The module survives
+only because the benchmark's per-layer probe
+(``benchmarks/e2e/layers.py``) calls ``analyzer.planner.plan(batch)``;
+delete it at the next change to the benchmark.
 """
 
 from __future__ import annotations
@@ -53,89 +37,31 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 @dataclass(frozen=True)
-class PlannerConfig:
-    """Tuning knobs for :class:`BatchPlanner`.
-
-    ``full_scope_ratio`` is the measured batch-vs-resimulate
-    crossover: when the estimated dirty fraction of the BGP solution
-    space reaches it, a full re-solve is cheaper than scoping.  The
-    default 0.9 comes from the EXPERIMENTS.md sweep — scoped still
-    wins by ~25% at 0.8, the two are within noise near 0.9, and full
-    wins past that.  Values above 1.0 disable full mode; 0.0 forces
-    it.  ``scope_sessions=False`` forces the session stage back onto full
-    rescans — the comparison baseline for the scoped discovery path
-    (benchmarks and oracle tests use it).
-    """
-
-    full_scope_ratio: float = 0.9
-    scope_sessions: bool = True
-
-
-@dataclass(frozen=True)
 class BatchPlan:
-    """One planning decision, recorded before any edit applies.
+    """One estimate, in prefixes against ``total_prefixes``."""
 
-    Estimates are in prefixes against ``total_prefixes``.
-    """
-
-    mode: str  # "scoped" | "full"
-    reason: str
     estimated_prefixes: int = 0
     total_prefixes: int = 0
 
 
 class BatchPlanner:
-    """Pure, deterministic planning over the analyzer's converged state."""
+    """Pure, deterministic estimation over the analyzer's converged state."""
 
-    def __init__(
-        self,
-        analyzer: "DifferentialNetworkAnalyzer",
-        config: PlannerConfig,
-    ) -> None:
+    def __init__(self, analyzer: "DifferentialNetworkAnalyzer") -> None:
         self.analyzer = analyzer
-        self.config = config
 
     def __repr__(self) -> str:
-        return f"BatchPlanner({self.config!r})"
+        return "BatchPlanner()"
 
-    def plan(
-        self, changes: Sequence[Change], provenance: bool = False
-    ) -> BatchPlan:
-        """Decide how to run one batch.  Reads converged state only —
-        no edit has applied yet — so the same batch against the same
-        state always plans the same way."""
+    def plan(self, changes: Sequence[Change]) -> BatchPlan:
+        """Estimate one batch.  Reads converged state only, so the
+        same batch against the same state always estimates the same."""
         total = len(self.analyzer.state.bgp_solutions)
         if total == 0:
-            return BatchPlan(
-                mode="scoped", reason="no BGP solutions", total_prefixes=0
-            )
-        if provenance:
-            # Full mode collapses per-edit causes into one blanket set,
-            # which would diverge from the sequential composition —
-            # attribution always takes the scoped path.
-            return BatchPlan(
-                mode="scoped",
-                reason="provenance requires scoped attribution",
-                total_prefixes=total,
-            )
+            return BatchPlan()
         estimated, certain_full = self._estimate_bgp_scope(changes)
-        if certain_full:
-            estimated = total
-        ratio = estimated / total
-        if ratio >= self.config.full_scope_ratio:
-            return BatchPlan(
-                mode="full",
-                reason=(
-                    f"estimated {estimated}/{total} dirty prefixes >= "
-                    f"crossover {self.config.full_scope_ratio:.2f}"
-                ),
-                estimated_prefixes=estimated,
-                total_prefixes=total,
-            )
         return BatchPlan(
-            mode="scoped",
-            reason=f"estimated {estimated}/{total} dirty prefixes",
-            estimated_prefixes=estimated,
+            estimated_prefixes=total if certain_full else estimated,
             total_prefixes=total,
         )
 

@@ -13,12 +13,14 @@ in :mod:`repro.workloads.changes`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
+from repro.bench.workloads import wan_k8_batch
 from repro.config.acl import AclAction, AclRule
 from repro.config.text import serialize_configs
+from repro.controlplane.bgp import discover_sessions, session_scan_size
 from repro.controlplane.simulation import simulate
 from repro.core.analyzer import DifferentialNetworkAnalyzer, batch_label
 from repro.core.change import (
@@ -43,7 +45,6 @@ from repro.core.handlers import (
     registered_change_handlers,
 )
 from repro.core.pipeline import DirtySet
-from repro.core.planner import PlannerConfig
 from repro.core.snapshot import serialize_topology
 from repro.core.snapshot_diff import SnapshotDiff, diff_states
 from repro.net.addr import Prefix
@@ -176,6 +177,21 @@ class TestBatchSequentialEquivalence:
         changes = [down, shutdown, add1, add2, cost, block]
         assert sum(len(c.edits) for c in changes) == 8
         _assert_batch_equivalent(fat_tree_k4_scenario, changes)
+
+    def test_wan_k8_commit(self, internet2_scenario):
+        """The k=8 WAN batch: every BGP dirty axis plus IGP dirt."""
+        changes, _recovery = wan_k8_batch(internet2_scenario)
+        _assert_batch_equivalent(internet2_scenario, changes)
+
+    def test_wan_k8_recovery(self, internet2_scenario):
+        """Its exact inverse, run against the post-commit network."""
+        changes, recovery = wan_k8_batch(internet2_scenario)
+        committed = DifferentialNetworkAnalyzer(
+            internet2_scenario.snapshot.clone()
+        )
+        committed.analyze_batch(changes)
+        post = replace(internet2_scenario, snapshot=committed.snapshot)
+        _assert_batch_equivalent(post, recovery)
 
 
 class TestWhatIfBatch:
@@ -555,54 +571,49 @@ def _scoped_vs_full_rescan(scenario, changes: list[Change]):
     """Stage-granularity oracle: pair-scoped session rediscovery must
     be byte-identical to a full ``discover_sessions`` rebuild.
 
-    Returns ``(scoped_report, full_report)`` so callers can add
-    work-count assertions on ``bgp_sessions_rescanned``.
-
-    Both analyzers pin ``full_scope_ratio`` above 1 so the planner can
-    never short-circuit to full resimulation (which re-solves every
-    prefix and would wash out the per-stage work counters) — the
-    comparison isolates pair-scoped rediscovery against the full
-    ``discover_sessions`` rebuild.
+    One default analyzer runs the batch; its session list must equal a
+    full rescan of the post-batch snapshot, its report must match the
+    SnapshotDiff oracle, and its converged state must equal a fresh
+    ``simulate()``.  Returns ``(report, full rescan size)`` so callers
+    can add work-count assertions on ``bgp_sessions_rescanned``.
     """
-    scoped = DifferentialNetworkAnalyzer(
-        scenario.snapshot.clone(),
-        planner=PlannerConfig(full_scope_ratio=1.1),
-    )
-    full = DifferentialNetworkAnalyzer(
-        scenario.snapshot.clone(),
-        planner=PlannerConfig(full_scope_ratio=1.1, scope_sessions=False),
-    )
-    scoped_report = scoped.analyze_batch(changes, label="stage-oracle")
-    full_report = full.analyze_batch(changes, label="stage-oracle")
-    assert _stripped(scoped_report) == _stripped(full_report), (
+    analyzer = DifferentialNetworkAnalyzer(scenario.snapshot.clone())
+    report = analyzer.analyze_batch(changes, label="stage-oracle")
+    # The converged session lists agree element-for-element (canonical
+    # sort order is part of the contract).
+    assert analyzer.state.bgp_sessions == discover_sessions(
+        analyzer.snapshot, analyzer.state.address_index
+    ), (
         f"scoped session rediscovery diverges from full rescan for "
         f"{[c.label for c in changes]}"
     )
-    # The converged session lists agree element-for-element (canonical
-    # sort order is part of the contract).
-    assert scoped.state.bgp_sessions == full.state.bgp_sessions
-    drift = diff_states(scoped.state, full.state)
+    combined = Change(
+        edits=[edit for change in changes for edit in change.edits],
+        label="stage-oracle",
+    )
+    oracle = SnapshotDiff(scenario.snapshot.clone()).analyze(combined)
+    assert report.behavior_signature() == oracle.behavior_signature()
+    fresh = simulate(analyzer.snapshot.clone(), precompute_reachability=True)
+    drift = diff_states(analyzer.state, fresh)
     assert drift.is_empty(), f"state drift:\n{drift.summary()}"
-    return scoped_report, full_report
+    return report, session_scan_size(analyzer.snapshot)
 
 
 class TestBgpStageGranularity:
     """Per-edit-kind oracles for the staged BGP session discovery.
 
     For every edit kind that deposits on the ``bgp_sessions`` axis,
-    the pair-scoped rediscovery path must produce the same report and
-    converged state as rebuilding the session list from scratch —
-    while validating strictly fewer directed neighbor entries.
+    the pair-scoped rediscovery path must produce the same session
+    list as rebuilding it from scratch, with a report and converged
+    state that match the from-scratch oracles — while validating
+    strictly fewer directed neighbor entries.
     """
 
     def test_link_down_scoped_rescan(self, internet2_scenario):
         gen = ChangeGenerator(internet2_scenario, seed=81)
         down, _up = gen.random_link_failure()
-        scoped, full = _scoped_vs_full_rescan(internet2_scenario, [down])
-        assert (
-            scoped.counters["bgp_sessions_rescanned"]
-            < full.counters["bgp_sessions_rescanned"]
-        )
+        report, full_scan = _scoped_vs_full_rescan(internet2_scenario, [down])
+        assert report.counters["bgp_sessions_rescanned"] < full_scan
 
     def test_link_down_up_scoped_rescan(self, internet2_scenario):
         gen = ChangeGenerator(internet2_scenario, seed=82)
@@ -612,13 +623,10 @@ class TestBgpStageGranularity:
     def test_interface_shutdown_scoped_rescan(self, internet2_scenario):
         gen = ChangeGenerator(internet2_scenario, seed=83)
         shutdown, _enable = gen.random_interface_flap()
-        scoped, full = _scoped_vs_full_rescan(
+        report, full_scan = _scoped_vs_full_rescan(
             internet2_scenario, [shutdown]
         )
-        assert (
-            scoped.counters["bgp_sessions_rescanned"]
-            < full.counters["bgp_sessions_rescanned"]
-        )
+        assert report.counters["bgp_sessions_rescanned"] < full_scan
 
     def test_interface_flap_scoped_rescan(self, internet2_scenario):
         gen = ChangeGenerator(internet2_scenario, seed=84)
@@ -628,14 +636,10 @@ class TestBgpStageGranularity:
     def test_remove_neighbor_scoped_rescan(self, internet2_scenario):
         gen = ChangeGenerator(internet2_scenario, seed=85)
         teardown, _restore = gen.random_session_flap()
-        scoped, full = _scoped_vs_full_rescan(
+        report, full_scan = _scoped_vs_full_rescan(
             internet2_scenario, [teardown]
         )
-        assert 0 < scoped.counters["bgp_sessions_rescanned"]
-        assert (
-            scoped.counters["bgp_sessions_rescanned"]
-            < full.counters["bgp_sessions_rescanned"]
-        )
+        assert 0 < report.counters["bgp_sessions_rescanned"] < full_scan
 
     def test_session_flap_scoped_rescan(self, internet2_scenario):
         """AddBgpNeighbor rides in via the restore half of the flap."""
@@ -645,52 +649,36 @@ class TestBgpStageGranularity:
 
     def test_local_pref_edit_scoped_rescan(self, internet2_scenario):
         """SetLocalPref deposits on bgp_adj_rib, not bgp_sessions —
-        no session is rescanned on either path."""
+        no session is rescanned."""
         gen = ChangeGenerator(internet2_scenario, seed=87)
         flip = gen.dual_homed_pref_flip(100, 200)
-        scoped, full = _scoped_vs_full_rescan(internet2_scenario, [flip])
-        assert scoped.counters["bgp_sessions_rescanned"] == 0
-        assert full.counters["bgp_sessions_rescanned"] == 0
+        report, _full_scan = _scoped_vs_full_rescan(internet2_scenario, [flip])
+        assert report.counters["bgp_sessions_rescanned"] == 0
 
 
 class TestBatchPlanner:
-    """The planner's crossover decisions: deterministic,
-    provenance-sound, and equivalence-preserving in every mode."""
+    """The planner's static BGP scope estimate: deterministic and
+    bounded by the solution space."""
 
     def test_plan_is_deterministic(self, internet2_scenario):
         analyzer = DifferentialNetworkAnalyzer(
             internet2_scenario.snapshot.clone()
         )
         gen = ChangeGenerator(internet2_scenario, seed=90)
-        # IGP edits estimate zero dirty prefixes: always scoped.
+        # IGP edits estimate zero dirty prefixes.
         cost_batch = [gen.random_ospf_cost()]
         first = analyzer.planner.plan(cost_batch)
         second = analyzer.planner.plan(cost_batch)
         assert first == second  # BatchPlan is a frozen dataclass
-        assert first.mode == "scoped"
+        assert first.estimated_prefixes == 0
         assert first.total_prefixes > 0
-        # BGP-surface batches plan identically on repeat too, whatever
-        # side of the crossover the estimate lands on.
+        # BGP-surface batches estimate identically on repeat too.
         teardown, _restore = gen.random_session_flap()
         flip = gen.dual_homed_pref_flip(100, 200)
         bgp_batch = [teardown, flip]
         assert analyzer.planner.plan(bgp_batch) == analyzer.planner.plan(
             bgp_batch
         )
-
-    def test_provenance_defers_full_mode(self, internet2_scenario):
-        """Attribution needs scoped cause bookkeeping: with provenance
-        on, the planner never picks full mode, even past crossover."""
-        analyzer = DifferentialNetworkAnalyzer(
-            internet2_scenario.snapshot.clone(),
-            planner=PlannerConfig(full_scope_ratio=0.0),
-        )
-        gen = ChangeGenerator(internet2_scenario, seed=91)
-        teardown, _restore = gen.random_session_flap()
-        assert analyzer.planner.plan([teardown]).mode == "full"
-        plan = analyzer.planner.plan([teardown], provenance=True)
-        assert plan.mode == "scoped"
-        assert "provenance" in plan.reason
 
     def test_add_neighbor_estimates_certain_full(self, internet2_scenario):
         gen = ChangeGenerator(internet2_scenario, seed=92)
@@ -700,27 +688,5 @@ class TestBatchPlanner:
         )
         analyzer.analyze(teardown)
         plan = analyzer.planner.plan([restore])
-        assert plan.mode == "full"
+        assert plan.total_prefixes > 0
         assert plan.estimated_prefixes == plan.total_prefixes
-
-    def test_full_mode_byte_identical(self, internet2_scenario):
-        gen = ChangeGenerator(internet2_scenario, seed=93)
-        teardown, _restore = gen.random_session_flap()
-        flip = gen.dual_homed_pref_flip(100, 200)
-        changes = [teardown, flip]
-        # full_scope_ratio > 1 disables the crossover; 0.0 forces it.
-        scoped = DifferentialNetworkAnalyzer(
-            internet2_scenario.snapshot.clone(),
-            planner=PlannerConfig(full_scope_ratio=1.1),
-        )
-        full = DifferentialNetworkAnalyzer(
-            internet2_scenario.snapshot.clone(),
-            planner=PlannerConfig(full_scope_ratio=0.0),
-        )
-        scoped_report = scoped.analyze_batch(changes, label="crossover")
-        full_report = full.analyze_batch(changes, label="crossover")
-        assert _stripped(scoped_report) == _stripped(full_report)
-        drift = diff_states(scoped.state, full.state)
-        assert drift.is_empty(), f"state drift:\n{drift.summary()}"
-        assert full.metrics.counters()["planner.full"] == 1
-        assert scoped.metrics.counters()["planner.scoped"] == 1

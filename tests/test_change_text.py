@@ -8,6 +8,8 @@ from repro.core.change import (
     AddStaticRoute,
     AnnouncePrefix,
     BindAcl,
+    Change,
+    EnableOspfInterface,
     LinkDown,
     LinkUp,
     SetLocalPref,
@@ -103,6 +105,22 @@ class TestParsing:
         with pytest.raises(ChangeParseError, match="static target"):
             parse_change("static add r0 10.0.0.0/24 nowhere\n")
 
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            ("link down r0 r1 eth0", "4 or 6 tokens"),
+            ("link down r0 r1 eth0 eth1 junk", "4 or 6 tokens"),
+            ("ospf enable r1 eth2 aera 5", "bad option 'aera'"),
+            ("ospf enable r1 eth2 area", "'area' needs a value"),
+            ("ospf enable r1 eth2 area 1 area 2", "bad option 'area'"),
+            ("acl add r3 F deny dst 10.0.0.0/8 src", "'src' needs a value"),
+            ("acl add r3 F allow dst 10.0.0.0/8", "permit|deny"),
+        ],
+    )
+    def test_rejects_dropped_input(self, line, problem):
+        with pytest.raises(ChangeParseError, match=problem):
+            parse_change(line + "\n")
+
 
 class TestRoundTrip:
     def test_serialize_parse_round_trip(self):
@@ -118,6 +136,13 @@ class TestRoundTrip:
         (edit,) = change.edits
         assert isinstance(edit, AnnouncePrefix)
         assert edit.prefix == Prefix("10.254.9.0/24")
+
+    def test_passive_ospf_enable_has_no_script_form(self):
+        edit = EnableOspfInterface("r1", "eth2", passive=True)
+        with pytest.raises(ValueError, match="passive"):
+            serialize_change(Change.of(edit))
+        active = Change.of(EnableOspfInterface("r1", "eth2", area=1, cost=20))
+        assert parse_change(serialize_change(active)).edits == active.edits
 
     def test_ospf_cost_round_trip(self):
         change = parse_change("ospf cost r0 eth1 42\n")
