@@ -14,8 +14,8 @@ DirtySet axis (``bgp_sessions``, ``bgp_adj_rib``, ``bgp_policy``,
   the policy-to-session scoping index;
 - :mod:`~repro.controlplane.bgp.decision` — the standard decision
   process;
-- :mod:`~repro.controlplane.bgp.solver` — the per-prefix fixpoint
-  driver over stages 2–4, plus origination collection.
+- :mod:`~repro.controlplane.bgp.solver` — the per-pass worklist
+  fixpoint driver over stages 2–4, plus origination collection.
 
 This module re-exports the stages' public surface.
 """
@@ -30,7 +30,7 @@ from repro.controlplane.bgp.sessions import (
     pairs_involving,
     session_scan_size,
 )
-from repro.controlplane.bgp.solver import collect_origins, solve_prefix
+from repro.controlplane.bgp.solver import BgpSolver, collect_origins
 from repro.controlplane.bgp.types import (
     INFINITY,
     LOCAL_KEY,
@@ -48,6 +48,7 @@ __all__ = [
     "BgpConvergenceError",
     "BgpPrefixSolution",
     "BgpSession",
+    "BgpSolver",
     "IgpView",
     "SessionPair",
     "apply_policy",
@@ -60,5 +61,4 @@ __all__ = [
     "neighbors_using_map",
     "pairs_involving",
     "session_scan_size",
-    "solve_prefix",
 ]

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from repro.controlplane.bgp import (
     BgpPrefixSolution,
     BgpSession,
+    BgpSolver,
     collect_origins,
     discover_sessions,
-    solve_prefix,
 )
 from repro.controlplane.connected import (
     AddressIndex,
@@ -226,11 +226,10 @@ def simulate(snapshot, precompute_reachability: bool = False) -> NetworkState:
 
     sessions = discover_sessions(snapshot, address_index)
     origins = collect_origins(snapshot)
+    solver = BgpSolver(snapshot, sessions, igp)
     solutions: dict[Prefix, BgpPrefixSolution] = {}
     for prefix in sorted(origins):
-        solutions[prefix] = solve_prefix(
-            snapshot, prefix, origins[prefix], sessions, igp
-        )
+        solutions[prefix] = solver.solve(prefix, origins[prefix])
     for prefix, solution in solutions.items():
         for router in routers:
             route = solution.route_for(router)

@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, cast
 
 from repro.controlplane.bgp import (
+    BgpSolver,
     SessionPair,
     collect_origins,
     discover_sessions_for,
-    solve_prefix,
 )
 from repro.controlplane.connected import connected_routes, static_routes
 from repro.controlplane.incremental import OspfDirty
@@ -925,19 +925,18 @@ class RecomputePipeline:
                     ids = set(all_cause)
                 return ids or attr.fallback()
 
+            # Built after the sessions stage and the IGP stage, so the
+            # session graph and the IGP view are final for the pass.
+            solver = BgpSolver(
+                analyzer.snapshot, state.bgp_sessions, state.igp
+            )
             routers = analyzer.snapshot.topology.router_names()
             for prefix in sorted(bgp_dirty):
                 old_solution = state.bgp_solutions.get(prefix)
                 if analyzer._journal is not None:
                     analyzer._journal.save_bgp_solution(prefix)
                 if prefix in origins:
-                    new_solution = solve_prefix(
-                        analyzer.snapshot,
-                        prefix,
-                        origins[prefix],
-                        state.bgp_sessions,
-                        state.igp,
-                    )
+                    new_solution = solver.solve(prefix, origins[prefix])
                     state.bgp_solutions[prefix] = new_solution
                 else:
                     new_solution = None
@@ -974,7 +973,10 @@ class RecomputePipeline:
                 if key not in best_changed:
                     best = state.ribs[router].best(prefix)
                     best_changed[key] = (best, best)
-            decision_span.set(prefixes_solved=len(bgp_dirty))
+            decision_span.set(
+                prefixes_solved=len(bgp_dirty),
+                exports_evaluated=solver.exports_evaluated,
+            )
         return len(bgp_dirty), rescanned
 
     def _bgp_sessions_stage(

@@ -310,6 +310,13 @@ class TestAnalyzerIntegration:
         stage_sum = batch.child_time()
         assert stage_sum <= batch.duration
 
+        # On a BGP network the decision stage reports its export work.
+        wan = Network.generate("internet2", trace=True)
+        wan.preview(ChangeSet().announce("cust_seat0", "198.51.100.0/24"))
+        decision = wan.tracer.find("pipeline.bgp.decision")
+        assert decision.labels["prefixes_solved"] == 1
+        assert decision.labels["exports_evaluated"] > 0
+
     def test_report_is_identical_traced_and_untraced(self):
         traced = Network.generate("ring", size=6, trace=True)
         untraced = Network.generate("ring", size=6)
