@@ -30,21 +30,46 @@ from repro.controlplane.spf import SpfGraph
 from repro.net.addr import Prefix
 
 
+SpfKey = tuple[str, int]
+
+
 @dataclass
 class OspfDirty:
     """What an OSPF-touching edit invalidated.
 
-    - ``sources``: (router, area) pairs whose SPF changed — their full
-      OSPF route set is recomputed.
+    - ``sources``: (router, area) pairs whose SPF changed.
+    - ``moved``: for a source in ``sources``, the nodes whose distance
+      or SPF parents changed in its tree — only routes toward those
+      nodes and their DAG descendants can move.  A source in
+      ``sources`` without a ``moved`` entry refreshes its whole route
+      set (its own link attachments changed).
     - ``prefixes``: area -> prefixes whose advertisements changed —
       every source in the area refreshes *those* prefixes only.
     """
 
-    sources: set[tuple[str, int]] = field(default_factory=set)
+    sources: set[SpfKey] = field(default_factory=set)
+    moved: dict[SpfKey, set[str]] = field(default_factory=dict)
     prefixes: dict[int, set[Prefix]] = field(default_factory=dict)
 
+    def add_moved(self, key: SpfKey, nodes: set[str]) -> None:
+        """Dirty ``key`` for routes toward ``nodes`` (and descendants)."""
+        if key in self.sources and key not in self.moved:
+            return  # already refreshed in full
+        self.sources.add(key)
+        self.moved.setdefault(key, set()).update(nodes)
+
+    def add_full(self, key: SpfKey) -> None:
+        """Dirty ``key``'s whole route set."""
+        self.sources.add(key)
+        self.moved.pop(key, None)
+
     def merge(self, other: "OspfDirty") -> None:
-        self.sources.update(other.sources)
+        for key in other.sources:
+            nodes = other.moved.get(key)
+            if nodes is None:
+                self.add_full(key)
+            else:
+                self.add_moved(key, nodes)
         for area, prefixes in other.prefixes.items():
             self.prefixes.setdefault(area, set()).update(prefixes)
 
@@ -143,19 +168,21 @@ class OspfIncremental:
 
     def _propagate_increase(self, area: int, x: str, y: str, dirty: OspfDirty) -> None:
         for router, spf in self._sources_in(area):
-            if spf.edge_increased(x, y):
-                dirty.sources.add((router, area))
+            moved = spf.edge_increased(x, y)
+            if moved:
+                dirty.add_moved((router, area), moved)
 
     def _propagate_decrease(self, area: int, x: str, y: str, dirty: OspfDirty) -> None:
         for router, spf in self._sources_in(area):
-            if spf.edge_decreased(x, y):
-                dirty.sources.add((router, area))
+            moved = spf.edge_decreased(x, y)
+            if moved:
+                dirty.add_moved((router, area), moved)
 
     def _attachments_changed(self, area: int, x: str, dirty: OspfDirty) -> None:
         spf = self.ospf.spf.get((x, area))
         if spf is not None:
             spf.invalidate_first_hops()
-        dirty.sources.add((x, area))
+        dirty.add_full((x, area))
 
     # -- advertisement maintenance ----------------------------------------------
 
@@ -202,6 +229,10 @@ class OspfIncremental:
             else:
                 self.ospf.advertised.get(area, {}).pop(router, None)
 
+        # A router joining (or leaving) an area may have no SPF tree for
+        # the edge updates to dirty: its whole route set is refreshed.
+        for area in desired_membership ^ self.ospf.membership.get(router, set()):
+            dirty.add_full((router, area))
         if desired_membership:
             self.ospf.membership[router] = desired_membership
         else:

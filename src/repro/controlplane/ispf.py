@@ -43,6 +43,24 @@ class DynamicSpf:
             self._fh = first_hops(self.graph, self.source, self.dist, self.parents)
         return self._fh
 
+    def descendants(self, nodes: Iterable[str]) -> set[str]:
+        """``nodes`` plus every node below them in the current SPF DAG.
+
+        A node's first hops are the union of its parents' (or the
+        source's link attachments), so when only ``nodes`` changed
+        distance or parents, first hops can have moved only inside
+        this closure.
+        """
+        children = self._children_map()
+        seen = set(nodes)
+        stack = list(seen)
+        while stack:
+            for child in children.get(stack.pop(), ()):
+                if child not in seen:
+                    seen.add(child)
+                    stack.append(child)
+        return seen
+
     def affected_by(self, u: str, v: str) -> bool:
         """True if edge (u, v) lies on some current shortest path."""
         du = self.dist.get(u)

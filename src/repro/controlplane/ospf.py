@@ -24,6 +24,7 @@ only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.config.routing import ADMIN_DISTANCE_OSPF
 from repro.controlplane.ispf import DynamicSpf
@@ -271,7 +272,8 @@ def ospf_routes_for_source(
     :func:`backbone_totals`) may be passed in to share work across
     sources; they are computed on demand otherwise.  With
     ``only_prefixes`` the result is restricted to those prefixes (the
-    incremental layer's targeted recompute).
+    incremental layer's targeted recompute); owners and summaries that
+    carry none of them are skipped.
     """
     areas = state.membership.get(source, set())
     if not areas:
@@ -285,12 +287,15 @@ def ospf_routes_for_source(
             return
         candidates.setdefault(prefix, []).append(_Candidate(metric, intra, hops))
 
+    def disjoint(prefixes: Iterable[Prefix]) -> bool:
+        return only_prefixes is not None and only_prefixes.isdisjoint(prefixes)
+
     # Intra-area routes for every area the source belongs to.
     for area in areas:
         spf = state.spf_for(source, area)
         fh = spf.first_hops()
         for owner, prefixes in state.advertised.get(area, {}).items():
-            if owner == source:
+            if owner == source or disjoint(prefixes):
                 continue
             distance = spf.distance(owner)
             if distance == INFINITY:
@@ -308,7 +313,7 @@ def ospf_routes_for_source(
             spf = state.spf_for(source, BACKBONE)
             fh = spf.first_hops()
             for abr, summaries in adverts.items():
-                if abr == source:
+                if abr == source or disjoint(summaries):
                     continue
                 distance = spf.distance(abr)
                 if distance == INFINITY:

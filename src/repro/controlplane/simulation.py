@@ -43,7 +43,9 @@ class IgpAdapter:
     """LPM view over the non-BGP routes, used by BGP and FIB building.
 
     Backed by one trie per router containing the best non-BGP route
-    per prefix; rebuilt cheaply per router when the IGP layer changes.
+    per prefix.  :meth:`set_router_routes` builds a router's view once
+    (initial convergence); afterwards the IGP stage updates it one
+    (router, prefix) entry at a time through :meth:`set_route`.
     """
 
     def __init__(self) -> None:
@@ -58,23 +60,32 @@ class IgpAdapter:
         self._tries[router] = trie
         self._routes[router] = dict(routes)
 
-    def snapshot_router(self, router: str) -> tuple | None:
-        """Opaque per-router state for an undo journal (None if absent).
+    def set_route(self, router: str, prefix: Prefix, route: Route | None) -> None:
+        """Install (or, with None, remove) one router's route for one prefix.
 
-        ``set_router_routes`` replaces rather than mutates the per
-        router structures, so stashing references is sufficient.
+        Removal leaves the trie nodes in place (see :meth:`Fib.remove`),
+        so longest-prefix-match answers equal a from-scratch build.
         """
-        if router not in self._tries:
-            return None
-        return (self._tries[router], self._routes[router])
+        routes = self._routes.get(router)
+        if route is None:
+            if routes is not None and routes.pop(prefix, None) is not None:
+                self._tries[router].remove(prefix)
+            return
+        if routes is None:
+            routes = self._routes[router] = {}
+            self._tries[router] = Fib(router)
+        self._tries[router].install(
+            FibEntry(prefix, route.next_hops, route.protocol)
+        )
+        routes[prefix] = route
 
-    def restore_router(self, router: str, saved: tuple | None) -> None:
-        """Reinstate a state captured by :meth:`snapshot_router`."""
-        if saved is None:
-            self._tries.pop(router, None)
-            self._routes.pop(router, None)
-        else:
-            self._tries[router], self._routes[router] = saved
+    def route(self, router: str, prefix: Prefix) -> Route | None:
+        """The exact-match route for ``prefix`` at ``router`` (or None)."""
+        return self._routes.get(router, {}).get(prefix)
+
+    def routes(self, router: str) -> dict[Prefix, Route]:
+        """A copy of one router's IGP route set."""
+        return dict(self._routes.get(router, {}))
 
     def covering_route(self, router: str, address: IPv4Address) -> Route | None:
         """The best non-BGP route covering ``address`` at ``router``."""

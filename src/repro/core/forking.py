@@ -13,8 +13,10 @@ granularity it is touched —
   state (graphs, settled trees, advertisements), taken only when an
   edit actually reaches OSPF;
 - RIBs: the per-prefix protocol map of each (router, prefix) written;
-- per-router caches: OSPF/connected/static route maps and the IGP
-  adapter entry, saved by reference (they are replaced, not mutated);
+- per-router caches: OSPF/connected/static route maps, saved by
+  reference or copy;
+- IGP adapter: the old route per (router, prefix) written — rollback
+  replays ``set_route`` with it;
 - BGP: sessions list, per-prefix solutions, origin map;
 - FIBs: the old entry per (router, prefix) — rollback replays the
   inverse ``update_fib_entry``, which also restores the refcounted
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
+from repro.controlplane.rib import Route
 from repro.dataplane.fib import FibEntry
 from repro.dataplane.reachability import AtomReachability
 from repro.net.addr import Prefix
@@ -62,7 +65,7 @@ class UndoJournal:
         self._ospf_routes: dict[str, object] = {}  # source -> copy | _MISSING
         self._route_caches: dict[tuple[str, str], object] = {}
         self._rib: dict[tuple[str, Prefix], dict | None] = {}
-        self._igp: dict[str, tuple | None] = {}
+        self._igp: dict[tuple[str, Prefix], Route | None] = {}
         self._sessions = _UNSET
         self._origins = _UNSET
         self._solutions: dict[Prefix, object] = {}  # prefix -> old | _MISSING
@@ -127,9 +130,10 @@ class UndoJournal:
                 prefix
             )
 
-    def save_igp_router(self, router: str) -> None:
-        if router not in self._igp:
-            self._igp[router] = self.analyzer.state.igp.snapshot_router(router)
+    def save_igp_route(self, router: str, prefix: Prefix) -> None:
+        key = (router, prefix)
+        if key not in self._igp:
+            self._igp[key] = self.analyzer.state.igp.route(router, prefix)
 
     def save_sessions(self) -> None:
         if self._sessions is _UNSET:
@@ -200,8 +204,8 @@ class UndoJournal:
                 state.bgp_solutions[prefix] = old
         for (router, prefix), saved in self._rib.items():
             state.ribs[router].restore_prefix(prefix, saved)
-        for router, saved in self._igp.items():
-            state.igp.restore_router(router, saved)
+        for (router, prefix), saved_route in self._igp.items():
+            state.igp.set_route(router, prefix, saved_route)
         for source, saved in self._ospf_routes.items():
             if saved is _MISSING:
                 state.ospf_routes.pop(source, None)

@@ -445,16 +445,21 @@ class RecomputePipeline:
             spf_sources=sizes["spf_sources"],
             advert_prefixes=sizes["advert_prefixes"],
             touched_routers=sizes["touched_routers"],
-        ):
+        ) as igp_span:
             best_changed: BestChanged = {}
-            igp_touched = self._recompute_ospf(
+            igp_written, rederived = self._recompute_ospf(
                 dirty, best_changed, report, attr
             )
-            igp_touched |= self._recompute_local(
+            igp_written |= self._recompute_local(
                 dirty, best_changed, report, attr
             )
-            for router in igp_touched:
-                self._refresh_igp_adapter(router)
+            self._update_igp_adapter(igp_written)
+            # Work counts ride on the span only: result documents and
+            # the metrics/event sinks stay unchanged.
+            igp_span.set(
+                routes_rederived=rederived,
+                igp_routes_written=len(igp_written),
+            )
 
         with tracer.span(
             "pipeline.bgp",
@@ -602,29 +607,32 @@ class RecomputePipeline:
         best_changed: BestChanged,
         report: DeltaReport,
         attr: _Attribution | None = None,
-    ) -> set[str]:
+    ) -> tuple[set[RibKey], int]:
         """Refresh OSPF routes for dirty sources/prefixes.
 
-        Returns routers whose non-BGP routes changed (IGP adapter must
-        be rebuilt for them).
+        Plans, per source, the prefixes whose routes can have moved
+        there (None: all of them), then refreshes each planned source
+        once.  Returns the (router, prefix) keys whose OSPF route was
+        rewritten — the IGP adapter entries to update — and how many
+        (source, prefix) routes were re-derived.
         """
         analyzer = self.analyzer
         state = analyzer.state
         if dirty.ospf.is_empty():
-            return set()
-        multi_area = len(state.ospf_state.areas()) > 1
+            return set(), 0
+        ospf = state.ospf_state
         adverts = None
         totals = None
-        summary_changed: set[Prefix] | None = None
-        affected_sources = {router for router, _area in dirty.ospf.sources}
-        if multi_area:
-            # Inter-area summaries may have shifted anywhere; recompute
-            # them once and diff against the cached pre-images so only
-            # sources actually seeing a changed summary (or a dirtied
-            # intra-area prefix) get refreshed — and those partially,
-            # restricted to the changed prefixes.
-            adverts = backbone_advertisements(state.ospf_state)
-            totals = backbone_totals(state.ospf_state, adverts)
+        plan: dict[str, set[Prefix] | None] = {}
+        if len(ospf.areas()) > 1:
+            # Multi-area (no benchmark workload is): SPF-dirty sources
+            # refresh in full.  Inter-area summaries may have shifted
+            # anywhere; recompute them once and diff against the cached
+            # pre-images so other sources refresh only the prefixes
+            # whose summary drifted or whose intra-area advertisement
+            # was dirtied in one of their areas.
+            adverts = backbone_advertisements(ospf)
+            totals = backbone_totals(ospf, adverts)
             old_adverts = state.backbone_adverts
             old_totals = state.backbone_totals_map
             if analyzer._journal is not None:
@@ -633,109 +641,86 @@ class RecomputePipeline:
             state.backbone_totals_map = totals
             if old_adverts is None or old_totals is None:
                 # No pre-image (state predates the backbone cache):
-                # fall back to refreshing every OSPF source.
-                affected_sources = set(state.ospf_state.membership)
+                # refresh every OSPF source.
+                plan = {source: None for source in ospf.membership}
             else:
+                plan = {router: None for router, _area in dirty.ospf.sources}
                 summary_changed = _summary_drift(
                     old_adverts, adverts
                 ) | _summary_drift(old_totals, totals)
-
-        touched: set[str] = set()
-        for source in affected_sources:
-            new_routes = ospf_routes_for_source(
-                state.ospf_state, source, adverts, totals
-            )
-            old_routes = state.ospf_routes.get(source, {})
-            if analyzer._journal is not None:
-                analyzer._journal.save_ospf_routes(source)
-            changed = False
-            for prefix in set(old_routes) | set(new_routes):
-                old = old_routes.get(prefix)
-                new = new_routes.get(prefix)
-                if old == new:
+                for source, areas in ospf.membership.items():
+                    if source in plan:
+                        continue
+                    drifted = set(summary_changed)
+                    for area in areas:
+                        drifted |= dirty.ospf.prefixes.get(area, set())
+                    if drifted:
+                        plan[source] = drifted
+        else:
+            # A route at S for prefix P depends only on the distance
+            # and first hops of P's owners.  First hops are the union of
+            # the SPF parents' first hops, so they can only have moved
+            # at a moved node or below it in the (final) DAG.
+            for source, area in dirty.ospf.sources:
+                moved = dirty.ospf.moved.get((source, area))
+                if moved is None or source not in ospf.membership:
+                    plan[source] = None
                     continue
-                changed = True
-                causes = None
-                if attr is not None:
-                    causes = attr.ospf_cause(source, prefix)
-                    attr.note_igp(source, causes)
-                self._install_route_update(
-                    source, "ospf", prefix, new, best_changed, report, causes
-                )
-            state.ospf_routes[source] = new_routes
-            if changed:
-                touched.add(source)
-
-        if multi_area and summary_changed is not None:
-            # Scoped multi-area path: sources whose SPF trees held can
-            # only see routes move for prefixes whose backbone summary
-            # drifted or whose intra-area advertisement was dirtied in
-            # one of their areas.
-            for source in state.ospf_state.membership:
-                if source in affected_sources:
-                    continue
-                only = set(summary_changed)
-                for area in state.ospf_state.membership[source]:
-                    only |= dirty.ospf.prefixes.get(area, set())
-                if not only:
-                    continue
-                if self._partial_ospf_refresh(
-                    source, only, adverts, totals, best_changed, report, attr
-                ):
-                    touched.add(source)
-        elif not multi_area:
+                owners = ospf.advertised.get(area, {})
+                scope = plan.setdefault(source, set())
+                if scope is not None:
+                    for node in ospf.spf_for(source, area).descendants(moved):
+                        scope.update(owners.get(node, ()))
             for area, prefixes in dirty.ospf.prefixes.items():
                 if not prefixes:
                     continue
-                for source in state.ospf_state.area_routers(area):
-                    if source in affected_sources:
-                        continue
-                    if self._partial_ospf_refresh(
-                        source,
-                        prefixes,
-                        adverts,
-                        totals,
-                        best_changed,
-                        report,
-                        attr,
-                    ):
-                        touched.add(source)
-        return touched
+                for source in ospf.area_routers(area):
+                    scope = plan.setdefault(source, set())
+                    if scope is not None:
+                        scope |= prefixes
 
-    def _partial_ospf_refresh(
+        written: set[RibKey] = set()
+        rederived = 0
+        for source in sorted(plan):
+            only = plan[source]
+            if only is not None and not only:
+                continue
+            rederived += self._refresh_ospf_source(
+                source, only, adverts, totals, written, best_changed, report,
+                attr,
+            )
+        return written, rederived
+
+    def _refresh_ospf_source(
         self,
         source: str,
-        prefixes: set[Prefix],
+        only: set[Prefix] | None,
         adverts: dict[str, dict[Prefix, float]] | None,
         totals: dict[str, dict[Prefix, float]] | None,
+        written: set[RibKey],
         best_changed: BestChanged,
         report: DeltaReport,
         attr: _Attribution | None,
-    ) -> bool:
-        """Refresh ``source``'s OSPF routes for ``prefixes`` only.
+    ) -> int:
+        """Re-derive ``source``'s OSPF routes for ``only`` (None: all).
 
-        The targeted counterpart of the full per-source refresh, for
-        sources whose SPF trees held; returns whether anything moved.
+        Installs every route that moved and adds its key to
+        ``written``; returns the number of prefixes re-derived.
         """
         analyzer = self.analyzer
         state = analyzer.state
-        partial = ospf_routes_for_source(
-            state.ospf_state,
-            source,
-            adverts,
-            totals,
-            only_prefixes=prefixes,
+        new_routes = ospf_routes_for_source(
+            state.ospf_state, source, adverts, totals, only_prefixes=only
         )
         if analyzer._journal is not None:
             analyzer._journal.save_ospf_routes(source)
         cached = state.ospf_routes.setdefault(source, {})
-        changed = False
+        prefixes = set(cached) | set(new_routes) if only is None else only
         for prefix in sorted(prefixes):
             old = cached.get(prefix)
-            new = partial.get(prefix)
+            new = new_routes.get(prefix)
             if old == new:
                 continue
-            changed = True
             causes = None
             if attr is not None:
                 causes = attr.ospf_cause(source, prefix)
@@ -743,11 +728,12 @@ class RecomputePipeline:
             self._install_route_update(
                 source, "ospf", prefix, new, best_changed, report, causes
             )
+            written.add((source, prefix))
             if new is None:
                 cached.pop(prefix, None)
             else:
                 cached[prefix] = new
-        return changed
+        return len(prefixes)
 
     def _recompute_local(
         self,
@@ -755,11 +741,14 @@ class RecomputePipeline:
         best_changed: BestChanged,
         report: DeltaReport,
         attr: _Attribution | None = None,
-    ) -> set[str]:
-        """Re-derive connected/static routes for touched routers."""
+    ) -> set[RibKey]:
+        """Re-derive connected/static routes for touched routers.
+
+        Returns the (router, prefix) keys whose route was rewritten.
+        """
         analyzer = self.analyzer
         state = analyzer.state
-        touched: set[str] = set()
+        written: set[RibKey] = set()
         for router in dirty.touched_routers:
             causes = attr.local_cause(router) if attr is not None else None
             new_connected = connected_routes(analyzer.snapshot, router)
@@ -778,7 +767,7 @@ class RecomputePipeline:
                     new = new_map.get(prefix)
                     if old == new:
                         continue
-                    touched.add(router)
+                    written.add((router, prefix))
                     if attr is not None and causes is not None:
                         attr.note_igp(router, causes)
                     self._install_route_update(
@@ -786,19 +775,21 @@ class RecomputePipeline:
                         causes,
                     )
                 cache[router] = new_map
-        return touched
+        return written
 
-    def _refresh_igp_adapter(self, router: str) -> None:
+    def _update_igp_adapter(self, keys: set[RibKey]) -> None:
+        """Point each written key's adapter entry at its non-BGP best.
+
+        Keys are visited sorted, so journal and adapter order do not
+        depend on the hash seed.
+        """
         analyzer = self.analyzer
-        if analyzer._journal is not None:
-            analyzer._journal.save_igp_router(router)
-        rib = analyzer.state.ribs[router]
-        non_bgp: dict[Prefix, Route] = {}
-        for prefix in rib.prefixes():
-            best = rib.best_excluding(prefix, NON_BGP)
-            if best is not None:
-                non_bgp[prefix] = best
-        analyzer.state.igp.set_router_routes(router, non_bgp)
+        state = analyzer.state
+        for router, prefix in sorted(keys):
+            if analyzer._journal is not None:
+                analyzer._journal.save_igp_route(router, prefix)
+            best = state.ribs[router].best_excluding(prefix, NON_BGP)
+            state.igp.set_route(router, prefix, best)
 
     # ------------------------------------------------------------------
     # BGP recomputation

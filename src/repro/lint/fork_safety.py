@@ -74,7 +74,7 @@ METHOD_GUARDS: dict[tuple[str, str], tuple[str, bool]] = {
     ("dataplane", "update_fib_entry"): ("save_fib_entry", True),
     ("dataplane", "acl_interval_structure"): ("record_acl_structure", False),
     ("dataplane", "invalidate_span"): ("record_acl_span", False),
-    ("igp", "set_router_routes"): ("save_igp_router", True),
+    ("igp", "set_route"): ("save_igp_route", True),
     ("reachability", "purge_overlapping"): ("record_reachability", False),
     ("reachability", "restore"): ("record_reachability", False),
 }

@@ -108,6 +108,29 @@ class TestForkSafety:
         assert len(findings) == 1
         assert "save_rib_prefix" in findings[0].message
 
+    def test_unjournaled_igp_route_write_flagged(self, tmp_path):
+        root = make_project(tmp_path, {
+            "repro/core/pipeline.py": """
+                class RecomputePipeline:
+                    def refresh(self, router, prefix, route):
+                        self.analyzer.state.igp.set_route(router, prefix, route)
+            """,
+        })
+        findings = run_rule("J1", root)
+        assert len(findings) == 1
+        assert "save_igp_route" in findings[0].message
+
+    def test_journaled_igp_route_write_clean(self, tmp_path):
+        root = make_project(tmp_path, {
+            "repro/core/pipeline.py": """
+                class RecomputePipeline:
+                    def refresh(self, router, prefix, route):
+                        self.analyzer._journal.save_igp_route(router, prefix)
+                        self.analyzer.state.igp.set_route(router, prefix, route)
+            """,
+        })
+        assert run_rule("J1", root) == []
+
     def test_out_of_scope_module_ignored(self, tmp_path):
         # Initial convergence / query code builds raw state before any
         # fork can exist; only the analyzer orbit is in contract.

@@ -299,6 +299,9 @@ class TestAnalyzerIntegration:
         igp = batch.find("pipeline.igp")
         assert igp.labels["spf_sources"] == 6
         assert igp.labels["touched_routers"] == 2
+        # Work counts: routes re-derived and IGP adapter entries written.
+        assert igp.labels["routes_rederived"] > 0
+        assert igp.labels["igp_routes_written"] > 0
         assert batch.find("pipeline.fib").labels["entries_updated"] == (
             report.num_fib_changes()
         )

@@ -107,6 +107,32 @@ class TestIgpAdapter:
         assert adapter.cost_to("a", IPv4Address(prefix.first)) == float("inf")
 
 
+    def test_set_route_matches_a_rebuild(self):
+        # Per-prefix writes (install, replace, remove) leave the same
+        # LPM answers as building the router's view from scratch.
+        hop = frozenset({NextHop(interface="eth0", neighbor="b")})
+        wide = Route(
+            prefix=Prefix("10.0.0.0/16"), protocol="ospf",
+            admin_distance=110, metric=20, next_hops=hop,
+        )
+        narrow = Route(
+            prefix=Prefix("10.0.1.0/24"), protocol="ospf",
+            admin_distance=110, metric=30, next_hops=hop,
+        )
+        adapter = IgpAdapter()
+        adapter.set_router_routes("a", {wide.prefix: wide})
+        adapter.set_route("a", narrow.prefix, narrow)
+        address = IPv4Address(narrow.prefix.first + 1)
+        assert adapter.covering_route("a", address) is narrow
+        adapter.set_route("a", narrow.prefix, None)
+        assert adapter.covering_route("a", address) is wide
+        assert adapter.routes("a") == {wide.prefix: wide}
+        adapter.set_route("b", wide.prefix, wide)  # router not yet built
+        assert adapter.route("b", wide.prefix) is wide
+        adapter.set_route("c", wide.prefix, None)
+        assert adapter.routes("c") == {}
+
+
 class TestStateShape:
     def test_counts(self):
         scenario = internet2_bgp()
