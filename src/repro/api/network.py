@@ -226,9 +226,9 @@ class Network:
         socket) of a ``repro serve`` daemon.  The returned
         :class:`~repro.service.client.ServiceClient` speaks the
         newline-delimited versioned-JSON frame protocol and mirrors
-        the facade's query surface — ``preview``/``analyze_batch``/
-        ``campaign``/``explain`` return the same result types this
-        class does, decoded from the same versioned documents.  Use it
+        the facade's query surface — ``preview``/``campaign``/
+        ``explain`` return the same result types this class does,
+        decoded from the same versioned documents.  Use it
         as a context manager, like the in-process facade.
         """
         from repro.service.client import ServiceClient

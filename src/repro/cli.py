@@ -1,67 +1,40 @@
 """Command-line interface: ``python -m repro <command>``.
 
 Operator-facing workflow over on-disk snapshots, built entirely on the
-:class:`repro.api.Network` session facade:
+:class:`repro.api.Network` session facade (``<command> --help`` lists
+every flag):
 
-- ``show <snapshot-dir>`` — snapshot summary and converged state stats.
-- ``analyze <snapshot-dir> <change-script>`` — differential review of
-  a change script (see :mod:`repro.core.change_text` for the format;
-  ``---`` lines split the script into multiple changes that are
-  analyzed **batched**, converging in one recompute pass —
-  ``counters.edits_batched`` in the report records the batch size);
-  ``--commit`` writes the changed snapshot back, ``--baseline`` also
-  runs the snapshot-diff baseline and verifies agreement, ``--json``
-  emits the schema-versioned delta report.  ``--profile`` traces the
-  analysis with :mod:`repro.obs` and emits the versioned span-tree
-  JSON (per-stage durations with dirty-set attribution);
-  ``--profile-out FILE`` / ``--chrome-out FILE`` write the span tree
-  / a Chrome trace-event timeline to disk instead (``--json
-  --profile`` emits both documents, report first).  ``--provenance``
-  attributes every delta to its causing edits; ``--provenance-out`` /
-  ``--events-out`` / ``--metrics-out`` save the provenance document,
-  the structured event log (JSONL), and the work metrics.
-- ``explain`` — causality queries over a provenance-enabled analysis
-  (``explain <snapshot> <change-script>``, fork-backed, never
-  commits) or a saved document (``explain --from FILE``): which edits
-  changed one FIB/RIB entry (``--router/--prefix``), everything one
-  edit caused (``--edit N``), behaviour changes toward an address
-  (``--dst IP``), and invariant violations attributed to edits
-  (``--invariant NAME``).
-- ``trace <snapshot-dir> <source> <dst-ip>`` — packet trace with
-  optional ``--src/--proto/--dport``; ``--json`` emits the trace.
+- ``show`` — snapshot summary and converged state stats.
+- ``analyze`` — differential review of a change script (format in
+  :mod:`repro.core.change_text`; ``---`` lines split it into changes
+  analyzed **batched**, in one recompute pass).  ``--commit`` writes
+  the changed snapshot back, ``--baseline`` checks agreement with the
+  snapshot-diff baseline; ``--profile``/``--provenance`` and the
+  ``--*-out FILE`` flags save span trees, provenance, event logs and
+  work metrics.
+- ``explain`` — causality queries (``--edit N``, ``--router/--prefix``,
+  ``--dst IP``, ``--invariant NAME``) over a fork-backed,
+  provenance-enabled preview of a change script, or over a saved
+  document (``--from FILE``).
+- ``trace`` — one packet trace.
 - ``campaign <kind>`` — batch what-if analysis over a built-in
-  scenario: enumerate failures/policy candidates (``links``,
-  ``k-links``, ``acl``, ``bgp``), evaluate them with forked analyzer
-  state (``--jobs N`` for the multiprocessing backend), and print the
-  ranked blast-radius report (or the full report with ``--json``).
-  ``--invariant NAME`` picks checks from the invariant registry;
-  ``--metrics-out FILE`` writes the merged work-metrics document
-  (byte-identical across backends); ``--provenance`` /
-  ``--events-out FILE`` attribute each scenario's deltas to its edits
-  and write the merged event log; ``--chrome-out FILE`` writes one
-  timeline with every scenario's span forest as a named thread.
-- ``demo <directory>`` — write a small example snapshot + change
-  script to play with (``--topology/--size/--seed`` pick the fabric).
+  scenario (``links``, ``k-links``, ``acl``, ``bgp``), serial or with
+  ``--jobs N`` worker processes, ranked by blast radius.
+- ``demo`` — write a small example snapshot + change script.
+- ``serve`` — the always-on what-if daemon (:mod:`repro.service`).
+- ``client`` — one request against a running daemon.
+- ``lint`` — the contract-aware static analyzer (:mod:`repro.lint`).
 
-- ``serve`` — run the always-on what-if service: converge one base
-  and answer concurrent ``preview``/``analyze_batch``/``campaign``/
-  ``explain``/``stats`` requests over TCP or a Unix socket
-  (newline-delimited versioned-JSON frames, digest-keyed result
-  cache; see :mod:`repro.service`).
-- ``client`` — one request against a running service (``ping``,
-  ``stats``, ``preview``, ``explain``, ``campaign``, ``shutdown``).
-- ``lint`` — the contract-aware static analyzer (:mod:`repro.lint`):
-  fork-safety, determinism, schema-drift, registry-coverage, and
-  obs-naming rules over ``src/repro``; exit 0 iff no new findings
-  and no stale baseline entries (``--update-baseline`` /
-  ``--update-fingerprints`` regenerate the committed artifacts,
-  ``--json`` emits the versioned lint report).
+``preview``, ``explain`` and ``campaign`` are the rows of the
+:data:`repro.ops.OPS` table.  ``client`` sends a row's params from the
+flags of the same names, and ``explain`` runs the explain row in
+process, so ``repro explain ... --json`` prints exactly what ``repro
+client ... explain --json`` does for the same script and label.
 
 ``--json`` output is one uniform envelope across analyze/trace/
-campaign/explain/client: ``{"kind", "schema_version", "result"}``
-where ``result`` is the versioned document from
-:mod:`repro.core.serialize` — byte-interchangeable with the ``result``
-field of a service response frame for the same question.
+campaign/explain/client/lint: ``{"kind", "schema_version",
+"result"}`` where ``result`` is the versioned document from
+:mod:`repro.core.serialize`.
 """
 
 from __future__ import annotations
@@ -72,10 +45,13 @@ import json
 import sys
 from typing import Any
 
+from repro import ops
 from repro.api import Network, make_invariant, registered_invariants
-from repro.api.errors import InvalidChangeError, ReproError
+from repro.api.errors import ReproError, SchemaError
 from repro.api.network import TOPOLOGY_KINDS
 from repro.core.serialize import envelope
+from repro.obs.provenance import ProvenanceRecord
+from repro.service import protocol
 
 
 def _no_arg_invariants() -> list[str]:
@@ -99,6 +75,30 @@ def _load(directory: str, trace: bool = False) -> Network:
         return Network.load(directory, trace=trace)
     except FileNotFoundError as error:
         raise SystemExit(f"error: cannot load snapshot: {error}")
+
+
+def _read(path: str) -> str:
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except OSError as error:
+        raise SystemExit(f"error: cannot read {path}: {error}")
+
+
+def _op_params(
+    name: str, args: argparse.Namespace, script: str, label: str
+) -> dict[str, Any]:
+    """Wire params of table op ``name``, read from the same-named flags.
+
+    The whole script file is one campaign scenario.
+    """
+    flags = {
+        **vars(args),
+        "script": script,
+        "label": label,
+        "scenarios": [{"name": label, "script": script}],
+    }
+    return {field: flags[field] for field in ops.OPS[name].fields}
 
 
 def _emit_json(document: dict[str, Any]) -> None:
@@ -306,83 +306,71 @@ def _run_campaign(args: argparse.Namespace, network: Network, scenario) -> int:
 
 def cmd_explain(args: argparse.Namespace) -> int:
     from repro.api.explain import explain_answer
-    from repro.core.serialize import SchemaError, document
-    from repro.obs.provenance import ProvenanceRecord
+    from repro.core.serialize import document
 
-    report = None
-    violations: list = []
-    if args.from_file:
-        if args.snapshot or args.change:
-            raise SystemExit(
-                "error: --from FILE replaces the snapshot/change arguments"
-            )
-        try:
-            with open(args.from_file) as handle:
-                data = json.load(handle)
-        except (OSError, json.JSONDecodeError) as error:
-            raise SystemExit(f"error: cannot read {args.from_file}: {error}")
-        if data.get("kind") == "delta-report":
-            # A saved delta report embeds its provenance document.
-            data = data.get("provenance")
-            if data is None:
+    try:
+        if args.from_file:
+            if args.snapshot or args.change:
                 raise SystemExit(
-                    "error: this delta report was produced without "
-                    "--provenance; re-run analyze with it"
+                    "error: --from FILE replaces the snapshot/change arguments"
                 )
-        try:
-            record = ProvenanceRecord.from_dict(data)
-        except (SchemaError, KeyError, TypeError) as error:
-            raise SystemExit(
-                f"error: not a provenance document: {error}"
+            answer, lines = explain_answer(
+                _saved_provenance(args.from_file),
+                edit=args.edit,
+                router=args.router,
+                prefix=args.prefix,
+                dst=args.dst,
+                top=args.top,
             )
-    else:
-        if not (args.snapshot and args.change):
+            answer = document("explain-answer", answer)
+        elif args.snapshot and args.change:
+            # The daemon's explain op, run in process.
+            script = _read(args.change)
+            params = _op_params("explain", args, script, args.change)
+            with _load(args.snapshot) as network:
+                answer, lines, report = ops.explain(
+                    network, ops.parse("explain", params)
+                )
+            if args.provenance_out:
+                assert report.provenance is not None
+                _write_json(
+                    args.provenance_out,
+                    report.provenance.to_dict(report.reach_segments),
+                )
+        else:
             raise SystemExit(
                 "error: provide a snapshot directory and change script, "
                 "or query a saved document with --from FILE"
             )
-        from repro.core.change_text import parse_change_batch
-
-        with _load(args.snapshot) as network:
-            with open(args.change) as handle:
-                changes = parse_change_batch(handle.read(), label=args.change)
-            # Fork-backed: explain never commits the change.
-            report = network.preview(
-                changes, label=args.change, provenance=True
-            )
-            record = report.provenance
-            assert record is not None
-            for name in args.invariant or []:
-                try:
-                    violations.extend(network.check(report, [name]))
-                except (TypeError, ValueError) as error:
-                    raise SystemExit(f"error: {error}")
-        if args.provenance_out:
-            _write_json(
-                args.provenance_out,
-                record.to_dict(report.reach_segments),
-            )
-
-    try:
-        answer, lines = explain_answer(
-            record,
-            report=report,
-            violations=violations,
-            edit=args.edit,
-            router=args.router,
-            prefix=args.prefix,
-            dst=args.dst,
-            top=args.top,
-        )
-    except InvalidChangeError as error:
+    except ReproError as error:
         raise SystemExit(f"error: {error}")
-
     if args.json:
-        _emit_json(document("explain-answer", answer))
+        _emit_json(answer)
     else:
         for line in lines:
             print(line)
     return 0
+
+
+def _saved_provenance(path: str) -> ProvenanceRecord:
+    """The provenance record in a saved provenance document or in a
+    delta report saved with ``--provenance``."""
+    try:
+        with open(path) as handle:
+            data = json.load(handle)
+    except (OSError, json.JSONDecodeError) as error:
+        raise SystemExit(f"error: cannot read {path}: {error}")
+    if data.get("kind") == "delta-report":
+        data = data.get("provenance")
+        if data is None:
+            raise SystemExit(
+                "error: this delta report was produced without "
+                "--provenance; re-run analyze with it"
+            )
+    try:
+        return ProvenanceRecord.from_dict(data)
+    except (SchemaError, KeyError, TypeError) as error:
+        raise SystemExit(f"error: not a provenance document: {error}")
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -417,56 +405,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_client(args: argparse.Namespace) -> int:
-    script = None
-    if args.change:
-        try:
-            with open(args.change) as handle:
-                script = handle.read()
-        except OSError as error:
-            raise SystemExit(f"error: cannot read {args.change}: {error}")
-    if args.op in ("preview", "explain", "campaign") and script is None:
-        raise SystemExit(f"error: {args.op} needs --change FILE")
-
+    params: dict[str, Any] = {}
+    if args.op in ops.OPS:
+        if not args.change:
+            raise SystemExit(f"error: {args.op} needs --change FILE")
+        params = _op_params(
+            args.op, args, _read(args.change), args.label or args.change
+        )
     try:
         with Network.connect(args.address) as remote:
-            if args.op == "ping":
-                result = remote.ping()
-            elif args.op == "stats":
-                result = remote.stats()
-            elif args.op == "shutdown":
-                result = remote.shutdown()
-            elif args.op == "preview":
-                result = remote.request(
-                    "preview",
-                    script=script,
-                    label=args.label or args.change,
-                    provenance=args.provenance,
-                )
-            elif args.op == "explain":
-                result = remote.request(
-                    "explain",
-                    script=script,
-                    edit=args.edit,
-                    router=args.router,
-                    prefix=args.prefix,
-                    dst=args.dst,
-                    invariants=args.invariant or [],
-                    top=args.top,
-                    label=args.label or args.change,
-                )
-            else:  # campaign: the whole script file is one scenario
-                result = remote.request(
-                    "campaign",
-                    scenarios=[
-                        {
-                            "name": args.label or args.change,
-                            "script": script,
-                        }
-                    ],
-                    jobs=args.jobs,
-                    invariants=args.invariant or [],
-                    label=args.label or args.change,
-                )
+            result = remote.request(args.op, **params)
             cache = remote.last_cache
     except (ReproError, OSError) as error:
         raise SystemExit(f"error: {error}")
@@ -543,6 +491,42 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 0 if result.clean else 1
 
 
+def _explain_flags() -> argparse.ArgumentParser:
+    """The causality-query flags of ``explain`` and ``client``, named
+    as the explain op's wire params."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--edit", type=int, metavar="N",
+                       help="show everything edit #N (may have) caused")
+    flags.add_argument("--router", help="router of the FIB/RIB entry")
+    flags.add_argument("--prefix", help="prefix of the FIB/RIB entry")
+    flags.add_argument("--dst", metavar="IP",
+                       help="behaviour changes toward one IPv4 address")
+    flags.add_argument("--invariant", dest="invariants", action="append",
+                       metavar="NAME",
+                       help="registered invariant to check, its violations "
+                       "attributed to edits (repeatable; not with --from)")
+    flags.add_argument("--top", type=int, default=10,
+                       help="rows listed per attribution (default: 10)")
+    return flags
+
+
+def _fabric_flags(size: int) -> argparse.ArgumentParser:
+    """``--size/--edges/--seed`` of the commands that build a fabric.
+
+    One parser per command: argparse shares a parent's actions, so
+    ``set_defaults(size=...)`` on one command would change the others.
+    """
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--size", type=int, default=size,
+                       help="k for fat_tree, n for ring/line/random "
+                       f"(default: {size})")
+    flags.add_argument("--edges", type=int, help="edge count for random")
+    flags.add_argument("--seed", type=int, default=0,
+                       help="seed for randomized topologies and sampled "
+                       "scenarios (default: 0)")
+    return flags
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Differential Network Analysis CLI"
@@ -605,7 +589,9 @@ def build_parser() -> argparse.ArgumentParser:
     trace.set_defaults(handler=cmd_trace)
 
     campaign = commands.add_parser(
-        "campaign", help="batch what-if analysis over a built-in scenario"
+        "campaign",
+        parents=[_fabric_flags(size=4)],
+        help="batch what-if analysis over a built-in scenario",
     )
     campaign.add_argument(
         "kind",
@@ -620,13 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="built-in base network (default: fat_tree)",
     )
     campaign.add_argument(
-        "--size", type=int, default=4,
-        help="k for fat_tree, n for ring/line/random (default: 4)",
-    )
-    campaign.add_argument(
-        "--edges", type=int, default=None, help="edge count for random"
-    )
-    campaign.add_argument(
         "--k", type=int, default=2, help="simultaneous failures for k-links"
     )
     campaign.add_argument(
@@ -636,10 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes (1 = serial backend)",
-    )
-    campaign.add_argument(
-        "--seed", type=int, default=0,
-        help="seed for sampled scenarios and random topologies",
     )
     campaign.add_argument(
         "--top", type=int, default=10, help="rows in the ranked summary"
@@ -679,8 +654,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.set_defaults(handler=cmd_campaign)
 
+    query = _explain_flags()
     explain = commands.add_parser(
         "explain",
+        parents=[query],
         help="answer causality queries: which edit caused which delta",
     )
     explain.add_argument(
@@ -697,29 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
         "saved with --provenance) instead of running an analysis",
     )
     explain.add_argument(
-        "--router", help="router of the FIB/RIB entry to explain"
-    )
-    explain.add_argument(
-        "--prefix", help="prefix of the FIB/RIB entry to explain"
-    )
-    explain.add_argument(
-        "--dst", metavar="IP",
-        help="explain every behaviour change toward one IPv4 address",
-    )
-    explain.add_argument(
-        "--edit", type=int, metavar="N",
-        help="show everything edit #N (may have) caused",
-    )
-    explain.add_argument(
-        "--invariant", action="append", metavar="NAME",
-        help="check an invariant and attribute its violations to edits "
-        "(repeatable; live mode only)",
-    )
-    explain.add_argument(
-        "--top", type=int, default=10,
-        help="rows listed per attribution (default: 10)",
-    )
-    explain.add_argument(
         "--provenance-out", metavar="FILE",
         help="also save the provenance JSON document to FILE",
     )
@@ -731,6 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = commands.add_parser(
         "serve",
+        parents=[_fabric_flags(size=4)],
         help="run the always-on what-if service over one converged base",
     )
     serve.add_argument(
@@ -740,17 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--generate", metavar="TOPOLOGY", choices=list(TOPOLOGY_KINDS),
         help="serve a generated built-in scenario instead of a snapshot",
-    )
-    serve.add_argument(
-        "--size", type=int, default=4,
-        help="k for fat_tree, n for ring/line/random (default: 4)",
-    )
-    serve.add_argument(
-        "--edges", type=int, default=None, help="edge count for random"
-    )
-    serve.add_argument(
-        "--seed", type=int, default=0,
-        help="seed for randomized topology generators",
     )
     serve.add_argument(
         "--listen", metavar="ADDRESS", default="127.0.0.1:7421",
@@ -769,13 +713,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve.set_defaults(handler=cmd_serve)
 
     client = commands.add_parser(
-        "client", help="one request against a running what-if service"
+        "client",
+        parents=[query],
+        help="one request against a running what-if service",
     )
     client.add_argument("address", help="service address (host:port or path)")
     client.add_argument(
         "op",
-        choices=["ping", "stats", "preview", "explain", "campaign",
-                 "shutdown"],
+        choices=protocol.OPS,
         help="request to send",
     )
     client.add_argument(
@@ -788,30 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     client.add_argument(
         "--provenance", action="store_true",
-        help="preview with edit-level provenance attribution",
-    )
-    client.add_argument(
-        "--edit", type=int, metavar="N",
-        help="explain: show everything edit #N (may have) caused",
-    )
-    client.add_argument(
-        "--router", help="explain: router of the FIB/RIB entry"
-    )
-    client.add_argument(
-        "--prefix", help="explain: prefix of the FIB/RIB entry"
-    )
-    client.add_argument(
-        "--dst", metavar="IP",
-        help="explain: behaviour changes toward one IPv4 address",
-    )
-    client.add_argument(
-        "--invariant", action="append", metavar="NAME",
-        help="registered invariant to check (repeatable; "
-        "explain/campaign)",
-    )
-    client.add_argument(
-        "--top", type=int, default=10,
-        help="explain: rows listed per attribution (default: 10)",
+        help="preview/campaign with edit-level provenance attribution",
     )
     client.add_argument(
         "--jobs", type=int, default=1,
@@ -823,24 +745,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     client.set_defaults(handler=cmd_client)
 
-    demo = commands.add_parser("demo", help="write a demo snapshot")
+    demo = commands.add_parser(
+        "demo", parents=[_fabric_flags(size=6)], help="write a demo snapshot"
+    )
     demo.add_argument("directory")
     demo.add_argument(
         "--topology",
         default="ring",
         choices=list(TOPOLOGY_KINDS),
         help="fabric to generate (default: ring)",
-    )
-    demo.add_argument(
-        "--size", type=int, default=6,
-        help="k for fat_tree, n for ring/line/random (default: 6)",
-    )
-    demo.add_argument(
-        "--edges", type=int, default=None, help="edge count for random"
-    )
-    demo.add_argument(
-        "--seed", type=int, default=0,
-        help="seed for randomized topology generators (reproducible runs)",
     )
     demo.set_defaults(handler=cmd_demo)
 

@@ -2,16 +2,14 @@
 
 This package is the lowest layer of the system: IPv4 addresses, CIDR
 prefixes, half-open integer intervals over the 32-bit address space,
-and header-space sets (unions of disjoint intervals).  Everything above
+and interval sets (unions of disjoint intervals).  Everything above
 — FIB tries, atom decomposition, ACL evaluation — is built on these.
 """
 
 from repro.net.addr import IPv4Address, Prefix, iter_subprefixes
 from repro.net.interval import Interval, IntervalSet
-from repro.net.headerspace import HeaderSpace
 
 __all__ = [
-    "HeaderSpace",
     "IPv4Address",
     "Interval",
     "IntervalSet",

@@ -3,8 +3,11 @@
 Every caller used to pay full session construction and convergence per
 process.  This package turns the :class:`repro.api.Network` facade
 into a long-lived daemon (``repro serve``) that converges one base and
-serves concurrent ``preview``/``analyze_batch``/``campaign``/
-``explain`` requests over TCP or a Unix socket:
+serves concurrent ``preview``/``explain``/``campaign`` requests over
+TCP or a Unix socket.  Those three questions live in one table,
+:data:`repro.ops.OPS` (param validation, the fields the cache key
+covers, and the run that builds the result document), which ``repro
+explain`` runs in process too:
 
 - :mod:`repro.service.protocol` — newline-delimited versioned-JSON
   frames (``request``/``response``/``error`` kinds riding the
@@ -16,7 +19,7 @@ serves concurrent ``preview``/``analyze_batch``/``campaign``/
   moves.
 - :mod:`repro.service.server` — the asyncio daemon.  Request
   *analysis* is fork-backed against the shared converged analyzer
-  (PR-1 journal) and serialized by one lock — forks do not nest — so
+  (undo journal) and serialized by one lock — forks do not nest — so
   overlapping requests are isolated and byte-identical to serial
   evaluation, while cache hits, stats, and socket I/O stay fully
   concurrent.

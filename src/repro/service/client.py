@@ -1,8 +1,10 @@
 """The blocking service client behind ``Network.connect()``.
 
 Speaks the newline-delimited versioned-JSON frame protocol over a
-plain socket and decodes results into the same typed objects the
-in-process facade returns — a caller migrating from ``Network.load``
+plain socket — the control ops plus the :data:`repro.ops.OPS`
+questions (a batched preview is a ``preview`` whose script has
+``---`` lines) — and decodes results into the same typed objects the
+in-process facade returns: a caller migrating from ``Network.load``
 to ``Network.connect`` keeps its downstream code unchanged::
 
     with Network.connect("127.0.0.1:7421") as remote:
@@ -138,22 +140,6 @@ class ServiceClient:
         )
         return DeltaReport.from_dict(result)
 
-    def analyze_batch(
-        self,
-        changes: ScriptLike,
-        label: str | None = None,
-        provenance: bool = False,
-    ) -> DeltaReport:
-        """Batch analysis (fork-backed server-side; the shared base
-        never advances)."""
-        result = self.request(
-            "analyze_batch",
-            script=_as_script(changes),
-            label=label,
-            provenance=provenance,
-        )
-        return DeltaReport.from_dict(result)
-
     def campaign(
         self,
         scenarios: Sequence[Mapping[str, str]],
@@ -163,7 +149,8 @@ class ServiceClient:
         provenance: bool = False,
     ) -> CampaignReport:
         """Evaluate explicit scenarios (``{"name", "script"}`` each)
-        against the service's base."""
+        against the service's base; ``jobs`` may not exceed the
+        service host's CPU count."""
         result = self.request(
             "campaign",
             scenarios=[dict(entry) for entry in scenarios],

@@ -18,7 +18,7 @@ frame kind            fields
 
 The ``result`` field of a response is byte-identical (as canonical
 JSON) to the CLI's ``--json`` envelope ``result`` for the same
-question — one schema, two transports.
+question — both run the same :data:`repro.ops.OPS` entry.
 
 Errors cross the wire *typed*: the server maps an exception to its
 class name (:data:`ERROR_TYPES` holds the public hierarchy), the
@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 from typing import Any, Mapping
 
+from repro import ops
 from repro.api.errors import (
     ChangeError,
     ChangeParseError,
@@ -49,16 +50,9 @@ from repro.topology.model import TopologyError
 #: closes, since the stream cannot be resynchronised mid-frame.
 MAX_FRAME_BYTES = 64 * 1024
 
-#: Every op the service answers; anything else is a ProtocolError.
-OPS = (
-    "ping",
-    "stats",
-    "preview",
-    "analyze_batch",
-    "campaign",
-    "explain",
-    "shutdown",
-)
+#: Every op the service answers: the control ops plus the question
+#: table of :mod:`repro.ops`; anything else is a ProtocolError.
+OPS = ("ping", "stats", "shutdown", *ops.OPS)
 
 #: Exception classes that cross the wire under their own name.
 ERROR_TYPES: dict[str, type[Exception]] = {

@@ -3,7 +3,12 @@
 :class:`ReproService` wraps one :class:`repro.api.Network`, converges
 it once at startup, and serves concurrent requests over asyncio
 streams (TCP or Unix socket) using the frame protocol of
-:mod:`repro.service.protocol`.
+:mod:`repro.service.protocol`.  Besides the control ops ``ping``,
+``stats`` and ``shutdown`` it answers the questions of the
+:data:`repro.ops.OPS` table (``preview``/``explain``/``campaign``):
+the table validates the params, names what the cache key covers and
+computes the result document, exactly as ``repro explain`` does in
+process.
 
 Concurrency model — three tiers, fastest first:
 
@@ -11,19 +16,20 @@ Concurrency model — three tiers, fastest first:
    string comes straight off the LRU and is written back.  Hits,
    ``ping``, and ``stats`` stay fully concurrent with running
    analyses.
-2. **Analyses** (preview/analyze_batch/campaign/explain misses) are
-   fork-backed against the shared converged analyzer — each request
-   evaluates inside a PR-1 undo journal and rolls back, so requests
-   are isolated and byte-identical to serial evaluation.  Forks do
-   not nest, so analyses serialize on one ``asyncio.Lock`` and run in
-   a worker thread, keeping the event loop (and tier 1) responsive.
+2. **Analyses** (table-op misses) are fork-backed against the shared
+   converged analyzer — each request evaluates inside an undo journal
+   and rolls back, so requests are isolated and byte-identical to
+   serial evaluation.  Forks do not nest, so analyses serialize on one
+   ``asyncio.Lock`` and run in a worker thread, keeping the event loop
+   (and tier 1) responsive.
 3. **Campaigns** may additionally fan out worker processes
-   (``jobs > 1``) exactly like the in-process facade.
+   (``jobs > 1``, at most the host's CPU count) exactly like the
+   in-process facade.
 
 Every request runs under a ``service.<op>`` span (when the service's
 network traces) labelled with the request id and cache disposition, so
-per-request attribution rides the PR-6 observability layer; work
-counts land in the shared metrics registry either way.
+per-request attribution rides the observability layer; work counts
+land in the shared metrics registry either way.
 """
 
 from __future__ import annotations
@@ -31,27 +37,15 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
+from repro import ops
 from repro.api import Network
 from repro.api.errors import ConvergenceError, ProtocolError
-from repro.api.explain import explain_answer
-from repro.campaign.scenarios import WhatIfScenario
 from repro.core import codec
-from repro.core.change import Change
-from repro.core.change_text import parse_change_batch
 from repro.core.serialize import document
 from repro.service import protocol
-from repro.service.cache import (
-    CacheKey,
-    ResultCache,
-    change_digest,
-    options_digest,
-)
-
-#: Ops whose results are pure functions of (base, changes, options) —
-#: the only ones the result cache may answer.
-CACHEABLE_OPS = ("preview", "analyze_batch", "campaign", "explain")
+from repro.service.cache import ResultCache, change_digest, options_digest
 
 
 class ReproService:
@@ -225,10 +219,15 @@ class ReproService:
                 request_id, op, document("pong", {"stopping": True})
             )
 
-        # Cacheable analysis ops: digest the question, try the cache,
+        # Table ops: validate and digest the question, try the cache,
         # otherwise compute fork-backed under the analysis lock.
+        request = ops.parse(op, params)
         self.cache.ensure_generation(self.network.analyzer.generation)
-        key, work = self._plan(op, params)
+        key = (
+            self.base_digest,
+            "-" if request.changes is None else change_digest(request.changes),
+            options_digest({"op": op, **request.params}),
+        )
         cached = self.cache.get(key)
         if cached is not None:
             self.network.metrics.counter("service.cache_hits").inc()
@@ -244,7 +243,9 @@ class ReproService:
             with self.network.tracer.span(
                 f"service.{op}", id=request_id, cache="miss"
             ):
-                result = await self._loop.run_in_executor(None, work)
+                result = await self._loop.run_in_executor(
+                    None, request.op.run, self.network, request
+                )
         canonical = json.dumps(result, sort_keys=True, separators=(",", ":"))
         self.cache.put(key, canonical)
         return protocol.response(
@@ -274,149 +275,3 @@ class ReproService:
                 "metrics": self.network.metrics.to_payload(),
             },
         )
-
-    def _plan(
-        self, op: str, params: Mapping[str, Any]
-    ) -> tuple[CacheKey, Callable[[], dict[str, Any]]]:
-        """(cache key, thunk) for one analysis op."""
-        if op in ("preview", "analyze_batch"):
-            changes = self._parse_script(params)
-            label = params.get("label")
-            wants_provenance = bool(params.get("provenance", False))
-            options = {
-                "op": "preview",  # analyze_batch is the same question
-                "label": label,
-                "provenance": wants_provenance,
-            }
-            key = (
-                self.base_digest,
-                change_digest(changes),
-                options_digest(options),
-            )
-
-            def work() -> dict[str, Any]:
-                report = self.network.preview(
-                    changes, label=label, provenance=wants_provenance
-                )
-                return report.to_dict()
-
-            return key, work
-        if op == "explain":
-            changes = self._parse_script(params)
-            query = {
-                "op": "explain",
-                "label": params.get("label"),
-                "edit": params.get("edit"),
-                "router": params.get("router"),
-                "prefix": params.get("prefix"),
-                "dst": params.get("dst"),
-                "invariants": list(params.get("invariants") or []),
-                "top": int(params.get("top", 10)),
-            }
-            key = (
-                self.base_digest,
-                change_digest(changes),
-                options_digest(query),
-            )
-
-            def work() -> dict[str, Any]:
-                report = self.network.preview(
-                    changes, label=query["label"], provenance=True
-                )
-                record = report.provenance
-                assert record is not None
-                violations = (
-                    self.network.check(report, query["invariants"])
-                    if query["invariants"]
-                    else []
-                )
-                answer, _ = explain_answer(
-                    record,
-                    report=report,
-                    violations=violations,
-                    edit=query["edit"],
-                    router=query["router"],
-                    prefix=query["prefix"],
-                    dst=query["dst"],
-                    top=query["top"],
-                )
-                return document("explain-answer", answer)
-
-            return key, work
-        if op == "campaign":
-            scenarios, scripts = self._parse_scenarios(params)
-            options = {
-                "op": "campaign",
-                "scenarios": scripts,
-                "invariants": list(params.get("invariants") or []),
-                "jobs": int(params.get("jobs", 1)),
-                "label": params.get("label"),
-                "provenance": bool(params.get("provenance", False)),
-            }
-            key = (self.base_digest, "-", options_digest(options))
-
-            def work() -> dict[str, Any]:
-                report = self.network.campaign(
-                    scenarios,
-                    jobs=options["jobs"],
-                    invariants=options["invariants"],
-                    label=options["label"] or "",
-                    provenance=options["provenance"],
-                )
-                return report.to_dict()
-
-            return key, work
-        raise ProtocolError(f"op {op!r} is not an analysis op")
-
-    def _parse_script(self, params: Mapping[str, Any]) -> list[Change]:
-        script = params.get("script")
-        if not isinstance(script, str):
-            raise ProtocolError("request needs a 'script' string param")
-        return parse_change_batch(
-            script, label=str(params.get("label") or "request")
-        )
-
-    def _parse_scenarios(
-        self, params: Mapping[str, Any]
-    ) -> tuple[list[WhatIfScenario], list[dict[str, str]]]:
-        """Explicit scenario list -> (scenarios, canonical scripts).
-
-        Each entry is ``{"name": ..., "script": ...}`` (``---`` batches
-        inside a script evaluate in one recompute pass).  The
-        canonical scripts feed the cache key.
-        """
-        raw = params.get("scenarios")
-        if not isinstance(raw, list) or not raw:
-            raise ProtocolError(
-                "campaign needs a non-empty 'scenarios' list of "
-                '{"name", "script"} objects'
-            )
-        scenarios: list[WhatIfScenario] = []
-        scripts: list[dict[str, str]] = []
-        for index, entry in enumerate(raw):
-            if not isinstance(entry, dict) or not isinstance(
-                entry.get("script"), str
-            ):
-                raise ProtocolError(
-                    f"scenarios[{index}] needs a 'script' string"
-                )
-            name = str(entry.get("name") or f"scenario #{index}")
-            changes = parse_change_batch(entry["script"], label=name)
-            combined = (
-                changes[0]
-                if len(changes) == 1
-                else Change(
-                    edits=[e for change in changes for e in change.edits],
-                    label=name,
-                )
-            )
-            scenarios.append(
-                WhatIfScenario(
-                    name=name,
-                    change=combined,
-                    kind=str(entry.get("kind") or "service"),
-                    changes=tuple(changes) if len(changes) > 1 else (),
-                )
-            )
-            scripts.append({"name": name, "script": entry["script"]})
-        return scenarios, scripts

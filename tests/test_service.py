@@ -7,10 +7,12 @@ pipeline (no ``pipeline.*`` spans, no extra ``analyze.calls``).
 """
 
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro import cli
 from repro.api import Network
 from repro.api.errors import (
     ChangeParseError,
@@ -18,7 +20,10 @@ from repro.api.errors import (
     ProtocolError,
     ReproError,
 )
+from repro.api.explain import explain_answer
+from repro.campaign.scenarios import WhatIfScenario
 from repro.core.change_text import parse_change_batch
+from repro.core.serialize import check_envelope, document
 from repro.service import ReproService, ResultCache, ServiceClient
 from repro.service import protocol
 from repro.service.cache import change_digest, options_digest
@@ -42,6 +47,39 @@ def live():
 
 def connect(address: str) -> ServiceClient:
     return ServiceClient.connect(address)
+
+
+def in_process(network: Network, op: str, params: dict) -> dict:
+    """The reference answer: the facade calls a service op stands for."""
+    label = params.get("label")
+    invariants = params.get("invariants", [])
+    if op == "campaign":
+        scenarios = []
+        for entry in params["scenarios"]:
+            name = entry["name"]
+            change = parse_change_batch(entry["script"], label=name)[0]
+            scenarios.append(
+                WhatIfScenario(name=name, change=change, kind="service")
+            )
+        return network.campaign(
+            scenarios, invariants=invariants, label=label or ""
+        ).to_dict()
+    changes = parse_change_batch(params["script"], label=label or "request")
+    if op == "preview":
+        return network.preview(changes, label=label).to_dict()
+    report = network.preview(changes, label=label, provenance=True)
+    query = {
+        key: params[key]
+        for key in ("edit", "router", "prefix", "dst")
+        if key in params
+    }
+    answer, _ = explain_answer(
+        report.provenance,
+        report=report,
+        violations=network.check(report, invariants),
+        **query,
+    )
+    return document("explain-answer", answer)
 
 
 class TestProtocol:
@@ -186,17 +224,49 @@ class TestServiceRequests:
         assert pong["base_digest"] == service.base_digest
         assert pong["generation"] == 0
 
-    def test_preview_matches_in_process_facade(self, live):
+    @pytest.mark.parametrize(
+        "op, params",
+        [
+            ("preview", {"script": SCRIPTS[0], "label": "s"}),
+            ("explain", {"script": SCRIPTS[0], "label": "s", "edit": 0}),
+            ("explain", {"script": SCRIPTS[0], "router": "r0",
+                         "prefix": "172.16.1.0/24"}),
+            ("explain", {"script": SCRIPTS[0], "dst": "172.16.3.5"}),
+            ("explain", {"script": SCRIPTS[0], "label": "s", "invariants":
+                         ["loop-freedom", "blackhole-freedom"]}),
+            ("campaign", {"scenarios": [{"name": s, "script": s}
+                                        for s in SCRIPTS[:2]],
+                          "invariants": ["loop-freedom"], "label": "svc"}),
+        ],
+        ids=["preview", "explain-edit", "explain-entry", "explain-dst",
+             "explain-invariants", "campaign"],
+    )
+    def test_matches_in_process_facade(self, live, op, params):
         _, address = live
-        script = SCRIPTS[0]
         with ring_network() as local:
-            changes = parse_change_batch(script, label="s")
-            expected = local.preview(changes, label="s").to_dict()
+            expected = in_process(local, op, params)
         with connect(address) as client:
-            report = client.preview(script, label="s")
-        assert json.dumps(report.to_dict(), sort_keys=True) == json.dumps(
+            result = client.request(op, **params)
+        assert json.dumps(result, sort_keys=True) == json.dumps(
             expected, sort_keys=True
         )
+
+    def test_cli_explain_matches_the_service(self, live, tmp_path, capsys):
+        _, address = live
+        snapshot, script = str(tmp_path / "snap"), tmp_path / "change.dna"
+        with ring_network() as network:
+            network.save(snapshot)
+        script.write_text(SCRIPTS[0] + "\n")
+        assert cli.main(["explain", snapshot, str(script), "--edit", "0",
+                         "--invariant", "blackhole-freedom", "--json"]) == 0
+        printed = check_envelope(json.loads(capsys.readouterr().out))
+        with connect(address) as client:
+            answer = client.explain(
+                script.read_text(), edit=0, invariants=["blackhole-freedom"],
+                label=str(script),
+            )
+        assert printed == answer
+        assert answer["violations"]
 
     def test_warm_hit_is_byte_identical_and_skips_pipeline(self, live):
         service, address = live
@@ -267,6 +337,19 @@ class TestServiceRequests:
         assert len(report) == 3
         assert not report.failed()
 
+    def test_campaign_cache_key_covers_scenario_kind(self, live):
+        _, address = live
+        with connect(address) as client:
+            kinds = [
+                client.request(
+                    "campaign",
+                    scenarios=[{"name": "k", "script": SCRIPTS[3],
+                                "kind": kind}],
+                )["outcomes"][0]["kind"]
+                for kind in ("drill", "audit")
+            ]
+        assert kinds == ["drill", "audit"]
+
     def test_stats_counts_requests_and_cache(self, live):
         service, address = live
         with connect(address) as client:
@@ -299,6 +382,15 @@ class TestServiceErrors:
         with connect(address) as client:
             with pytest.raises(ProtocolError, match="script"):
                 client.request("preview")
+
+    def test_campaign_jobs_beyond_cpu_count_is_rejected(self, live):
+        # Rejected while validating: no worker process is started.
+        _, address = live
+        scenarios = [{"name": s, "script": s} for s in SCRIPTS[:2]]
+        with connect(address) as client:
+            with pytest.raises(ProtocolError, match="'jobs'"):
+                client.campaign(scenarios, jobs=(os.cpu_count() or 1) + 1)
+            assert client.ping()["kind"] == "pong"
 
     def test_garbage_line_gets_an_error_frame(self, live):
         _, address = live
