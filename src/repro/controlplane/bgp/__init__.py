@@ -3,8 +3,8 @@
 Historically one 400-line module, now a package of stage modules
 mirroring the PR-5 analyzer architecture — each stage owns one
 DirtySet axis (``bgp_sessions``, ``bgp_adj_rib``, ``bgp_policy``,
-``bgp_prefixes``) and is consumed by a dedicated
-``RecomputePipeline`` sub-stage:
+``bgp_prefixes``) and is consumed by a dedicated sub-stage of
+:mod:`repro.core.stages.bgp`:
 
 - :mod:`~repro.controlplane.bgp.sessions` — directed session
   discovery (full and pair-scoped), canonical ordering;

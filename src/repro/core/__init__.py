@@ -14,7 +14,8 @@
   :func:`~repro.core.handlers.register_change_handler`.
 - :mod:`~repro.core.pipeline` — the
   :class:`~repro.core.pipeline.DirtySet` intermediate representation
-  and the scoped recompute + differential data plane stages.
+  and the runner of the scoped recompute + differential data plane
+  stages, which live in :mod:`~repro.core.stages`.
 - :mod:`~repro.core.forking` — the undo journal behind the analyzer's
   ``what_if`` / ``fork()`` speculative-analysis API.
 - :mod:`~repro.core.snapshot_diff` — the Batfish-style baseline:

@@ -10,16 +10,17 @@ explicit three-stage pipeline:
    and folds dirty markers (affected SPF sources, changed
    advertisement prefixes, dirty BGP prefixes, ACL spans, touched
    routers) into a :class:`~repro.core.pipeline.DirtySet`.
-2. **Scoped recomputation** (:mod:`repro.core.pipeline`) — OSPF routes
-   are recomputed only for affected sources (and only for changed
-   prefixes elsewhere); BGP is re-solved per dirty prefix; FIB entries
-   are rebuilt only for (router, prefix) pairs whose best route or
-   next-hop resolution changed.
-3. **Differential data plane** (:mod:`repro.core.pipeline`) — FIB
-   deltas update the atom table in place; reachability is recomputed
-   only for dirty atoms, and the report's canonical reachability
-   segments come from diffing the cached pre-change behaviour against
-   the recomputed one.
+2. **Scoped recomputation** (:mod:`repro.core.stages.igp`,
+   :mod:`repro.core.stages.bgp`) — OSPF routes are recomputed only for
+   affected sources (and only for changed prefixes elsewhere); BGP is
+   re-solved per dirty prefix.
+3. **Differential data plane** (:mod:`repro.core.stages.fib`,
+   :mod:`repro.core.stages.reach`) — FIB entries are rebuilt only for
+   (router, prefix) pairs whose best route or next-hop resolution
+   changed, updating the atom table in place; reachability is
+   recomputed only for dirty atoms, and the report's canonical
+   reachability segments come from diffing the cached pre-change
+   behaviour against the recomputed one.
 
 ``analyze`` *commits*: the analyzer's snapshot and state advance to
 the post-change network.  ``analyze_batch`` applies a whole sequence
@@ -52,6 +53,7 @@ from repro.core.handlers import handler_for
 from repro.core.pipeline import DirtySet, RecomputePipeline
 from repro.core.planner import BatchPlanner
 from repro.core.snapshot import Snapshot
+from repro.core.stages import bgp
 from repro.obs import NULL_TRACER, EventLog, MetricsRegistry, Tracer
 from repro.obs.provenance import ProvenanceRecord
 
@@ -90,14 +92,19 @@ class DifferentialNetworkAnalyzer:
         self._ospf = OspfIncremental(self.state)
         self._origins = collect_origins(snapshot)
         self._journal: UndoJournal | None = None
-        self._pipeline = RecomputePipeline(self)
-        # A static BGP scope estimate; nothing here reads it (see
-        # repro.core.planner for why it survives).
-        self.planner = BatchPlanner(self)
+        # The pipeline runner and the planner are built per use, not
+        # kept: a dropped analyzer is then freed at once, so peak memory
+        # does not depend on when the cyclic collector runs.
         # Bumped on every *committed* analysis; callers caching derived
         # artifacts (e.g. the campaign runner's pickled base payload)
         # use it to detect that the converged state moved.
         self.generation = 0
+
+    @property
+    def planner(self) -> BatchPlanner:
+        """A static BGP scope estimate; nothing here reads it (see
+        repro.core.planner for why it survives)."""
+        return BatchPlanner(self)
 
     def __repr__(self) -> str:
         mode = "forked" if self._journal is not None else "committed"
@@ -159,7 +166,7 @@ class DifferentialNetworkAnalyzer:
             try:
                 with self.tracer.span("analyze.edits") as edits_span:
                     with self.tracer.span("analyze.epoch"):
-                        epoch = self._pipeline.begin()
+                        epoch = bgp.begin(self)
                     dirty = DirtySet()
                     edits_applied = 0
                     if record is not None and self.events is not None:
@@ -193,7 +200,7 @@ class DifferentialNetworkAnalyzer:
                             edits_applied += 1
                     edits_span.set(edits=edits_applied)
 
-                self._pipeline.run(dirty, epoch, report)
+                RecomputePipeline(self).run(dirty, epoch, report)
             finally:
                 # A failed committed application may still have mutated
                 # state (edits apply in order, without a fork nothing

@@ -218,6 +218,8 @@ class EnableOspfInterface(Edit):
     def apply(self, snapshot: Snapshot) -> None:
         if self.interface not in snapshot.topology.router(self.router).interfaces:
             raise ChangeError(f"{self.router} has no interface {self.interface!r}")
+        if self.cost < 1:
+            raise ChangeError("OSPF cost must be >= 1")
         ospf = _ospf(snapshot, self.router)
         existing = ospf.interfaces.get(self.interface)
         if existing is not None and existing.enabled:

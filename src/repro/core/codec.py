@@ -119,21 +119,23 @@ def decode_chunks(data: bytes) -> list[tuple[str, bytes]]:
         if offset + _CHUNK_HEAD.size > len(data):
             raise CodecError("truncated chunk header")
         raw, flags, length = _CHUNK_HEAD.unpack_from(data, offset)
+        try:
+            tag = raw.decode("ascii")
+        except UnicodeDecodeError:
+            raise CodecError(f"non-ASCII chunk tag {raw!r}") from None
         offset += _CHUNK_HEAD.size
         if offset + length > len(data):
-            raise CodecError(f"truncated {raw.decode('ascii')!r} chunk")
+            raise CodecError(f"truncated {tag!r} chunk")
         stored = data[offset:offset + length]
         offset += length
         if flags & _FLAG_ZLIB:
             try:
                 payload = zlib.decompress(stored)
             except zlib.error as error:
-                raise CodecError(
-                    f"corrupt {raw.decode('ascii')!r} chunk: {error}"
-                ) from None
+                raise CodecError(f"corrupt {tag!r} chunk: {error}") from None
         else:
             payload = stored
-        chunks.append((raw.decode("ascii"), payload))
+        chunks.append((tag, payload))
     if offset != len(data):
         raise CodecError(f"{len(data) - offset} trailing bytes after chunks")
     if _content_digest(chunks) != digest:

@@ -8,8 +8,9 @@ fork**, which is exactly the class of bug dynamic tests miss (they
 only catch it if some later test forks over the same state).
 
 This checker is the race-detector analog for that discipline.  Within
-the analyzer orbit (``repro.core.analyzer``/``handlers``/``pipeline``
-and ``repro.controlplane``) it resolves, per function, which local
+the analyzer orbit (``repro.core.analyzer``/``handlers``/``pipeline``,
+the recompute stages in ``repro.core.stages`` and
+``repro.controlplane``) it resolves, per function, which local
 names alias analyzer-owned state (``state = analyzer.state``,
 ``rib = state.ribs[router]``, tuple-unpacked loop aliases, …) and
 flags:
@@ -24,8 +25,9 @@ flags:
   may be recorded after the fact).
 
 Ownership is rooted at the analyzer object: only functions that
-receive the analyzer (an ``analyzer`` parameter, or ``self`` on the
-analyzer/pipeline classes) are in contract — initial convergence code
+receive the analyzer (an ``analyzer`` parameter, a stage's ``ctx``
+pass context, or ``self`` on the analyzer/pipeline/pass classes) are
+in contract — initial convergence code
 that builds raw state before any fork can exist is exempt by
 construction, as are ``__init__`` and the rollback paths themselves.
 """
@@ -40,11 +42,16 @@ SCOPE = (
     "repro/core/analyzer.py",
     "repro/core/handlers.py",
     "repro/core/pipeline.py",
+    "repro/core/stages/",
     "repro/controlplane/",
 )
 
 # Classes whose ``self`` is (or owns) the analyzer.
-ANALYZER_CLASSES = {"DifferentialNetworkAnalyzer", "RecomputePipeline"}
+ANALYZER_CLASSES = {"DifferentialNetworkAnalyzer", "RecomputePipeline", "Pass"}
+
+# Parameters that are (or own) the analyzer: handlers take the
+# analyzer itself, recompute stages the pass context.
+ANALYZER_PARAMS = {"analyzer", "ctx"}
 
 # Functions exempt from the contract: construction and the journal's
 # own rollback machinery.
@@ -104,8 +111,8 @@ class _FunctionAnalysis:
         if info.class_name in ANALYZER_CLASSES:
             self.env["self"] = {("analyzer",)}
         for arg in node.args.args + node.args.kwonlyargs:
-            if arg.arg == "analyzer":
-                self.env["analyzer"] = {("analyzer",)}
+            if arg.arg in ANALYZER_PARAMS:
+                self.env[arg.arg] = {("analyzer",)}
 
     # -- alias resolution ---------------------------------------------------
 

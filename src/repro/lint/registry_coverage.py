@@ -5,8 +5,8 @@ which also means nothing *structurally* guarantees a new
 :class:`~repro.core.change.Edit` subclass has a handler — the miss
 surfaces as a ``TypeError`` on first dispatch, at runtime, on whatever
 workload first uses it.  Symmetrically, a handler that deposits dirty
-markers on an axis the :class:`RecomputePipeline` never consumes
-"works" while silently never recomputing anything.
+markers on an axis no recompute stage (a :mod:`repro.core.stages`
+module) consumes "works" while silently never recomputing anything.
 
 This checker closes both gaps statically:
 
@@ -30,10 +30,10 @@ from repro.lint.base import Finding, Project, call_name, rule
 
 CHANGE_MODULE = "repro/core/change.py"
 PIPELINE_MODULE = "repro/core/pipeline.py"
-
-# DirtySet consumers inside pipeline.py (the IR's own methods — merge,
-# attribute — read every field trivially and must not count).
-PIPELINE_CONSUMER_CLASSES = {"RecomputePipeline", "_Attribution"}
+# The DirtySet consumers: every recompute stage module.  pipeline.py
+# does not count — the IR's own methods (merge, attribute) read every
+# field trivially, and the runner only labels spans with the sizes.
+STAGES_PACKAGE = "repro/core/stages/"
 
 
 def _edit_hierarchy(project: Project) -> tuple[set[str], dict[str, list[str]]]:
@@ -130,16 +130,10 @@ def _dirtyset_members(
 def _consumed_axes(project: Project, fields: dict[str, int]) -> set[str]:
     """DirtySet fields the recompute stages read (``dirty.<axis>``)."""
     consumed: set[str] = set()
-    pipeline = project.file(PIPELINE_MODULE)
-    if pipeline is None:
-        return consumed
-    for node in pipeline.tree.body:
-        if (
-            not isinstance(node, ast.ClassDef)
-            or node.name not in PIPELINE_CONSUMER_CLASSES
-        ):
+    for context in project:
+        if not context.rel.startswith(STAGES_PACKAGE):
             continue
-        for inner in ast.walk(node):
+        for inner in ast.walk(context.tree):
             if isinstance(inner, ast.Attribute) and inner.attr in fields:
                 value = inner.value
                 if (
@@ -186,7 +180,7 @@ def _handler_axis_uses(
     "H1",
     "registry coverage",
     "every Edit subclass has a change handler (MRO-covered) and every "
-    "handler-written DirtySet axis is consumed by RecomputePipeline",
+    "handler-written DirtySet axis is consumed by a recompute stage",
 )
 def check_registry_coverage(project: Project) -> list[Finding]:
     findings: list[Finding] = []
@@ -263,7 +257,7 @@ def check_registry_coverage(project: Project) -> list[Finding]:
                     rel,
                     line,
                     f"handler {handler} writes DirtySet axis '{axis}' "
-                    "but RecomputePipeline never consumes it; the dirt "
+                    "but the pipeline never consumes it; the dirt "
                     "is silently dropped",
                 )
             )

@@ -17,7 +17,7 @@ from repro.core.analyzer import DifferentialNetworkAnalyzer
 from repro.core.change import Change, LinkDown
 from repro.core.errors import ReproError
 from repro.core.snapshot import serialize_topology
-from repro.workloads.scenarios import ring_ospf
+from repro.workloads.scenarios import fat_tree_ospf, ring_ospf
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +165,25 @@ class TestSnapshotCodec:
         assert serialize_topology(rebuilt.topology) == serialize_topology(
             ring6.snapshot.topology
         )
+
+    def test_every_single_bit_flip_is_rejected_or_harmless(self):
+        # Flip each bit of a fat-tree container in turn.  A flip either
+        # raises CodecError or decodes to the same snapshot: unused flag
+        # bits and deflate padding carry no content.
+        snapshot = fat_tree_ospf(4).snapshot
+        data = codec.dumps(snapshot)
+        digest = codec.snapshot_digest(snapshot)
+        harmless = 0
+        for bit in range(len(data) * 8):
+            flipped = bytearray(data)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            try:
+                decoded = codec.loads(bytes(flipped))
+            except codec.CodecError:
+                continue
+            assert codec.snapshot_digest(decoded) == digest, f"bit {bit}"
+            harmless += 1
+        assert harmless > 0
 
     def test_missing_standard_chunk_rejected(self, ring6):
         chunks = codec.decode_chunks(codec.dumps(ring6.snapshot))

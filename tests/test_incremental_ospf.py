@@ -18,7 +18,7 @@ from repro.core.change import (
     SetOspfCost,
     ShutdownInterface,
 )
-from repro.core.pipeline import NON_BGP
+from repro.core.stages.igp import NON_BGP
 from repro.workloads.scenarios import fat_tree_ospf, ring_ospf
 
 

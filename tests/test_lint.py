@@ -94,14 +94,14 @@ class TestForkSafety:
         assert "record_acl_span" in findings[0].message
 
     def test_alias_chain_tracked(self, tmp_path):
-        # rib = analyzer.state.ribs[r]; rib.install(...) is still a
-        # mutation of analyzer-owned state.
+        # rib = self.state.ribs[r]; rib.install(...) on the pass context
+        # is still a mutation of analyzer-owned state.
         root = make_project(tmp_path, {
-            "repro/core/pipeline.py": """
-                class RecomputePipeline:
-                    def recompute(self, edit):
-                        rib = self.analyzer.state.ribs[edit.router]
-                        rib.install(edit.route)
+            "repro/core/stages/__init__.py": """
+                class Pass:
+                    def install(self, router, route):
+                        rib = self.state.ribs[router]
+                        rib.install(route)
             """,
         })
         findings = run_rule("J1", root)
@@ -110,10 +110,10 @@ class TestForkSafety:
 
     def test_unjournaled_igp_route_write_flagged(self, tmp_path):
         root = make_project(tmp_path, {
-            "repro/core/pipeline.py": """
-                class RecomputePipeline:
-                    def refresh(self, router, prefix, route):
-                        self.analyzer.state.igp.set_route(router, prefix, route)
+            "repro/core/stages/igp.py": """
+                def run(ctx, dirty):
+                    for router, prefix in sorted(dirty.written):
+                        ctx.state.igp.set_route(router, prefix, None)
             """,
         })
         findings = run_rule("J1", root)
@@ -122,14 +122,31 @@ class TestForkSafety:
 
     def test_journaled_igp_route_write_clean(self, tmp_path):
         root = make_project(tmp_path, {
-            "repro/core/pipeline.py": """
-                class RecomputePipeline:
-                    def refresh(self, router, prefix, route):
-                        self.analyzer._journal.save_igp_route(router, prefix)
-                        self.analyzer.state.igp.set_route(router, prefix, route)
+            "repro/core/stages/igp.py": """
+                def run(ctx, dirty):
+                    for router, prefix in sorted(dirty.written):
+                        ctx.journal.save_igp_route(router, prefix)
+                        ctx.state.igp.set_route(router, prefix, None)
             """,
         })
         assert run_rule("J1", root) == []
+
+    def test_unjournaled_stage_writes_flagged(self, tmp_path):
+        # Stage modules are in contract through their ``ctx`` pass
+        # context: a RIB item write and a FIB write without their
+        # before-images are both flagged.
+        root = make_project(tmp_path, {
+            "repro/core/stages/fib.py": """
+                def run(ctx, dirty):
+                    state = ctx.state
+                    state.ribs[dirty.router] = {}
+                    state.dataplane.update_fib_entry("r1", dirty.prefix, None)
+            """,
+        })
+        findings = run_rule("J1", root)
+        assert [f.path for f in findings] == ["repro/core/stages/fib.py"] * 2
+        assert "save_rib_prefix" in findings[0].message
+        assert "save_fib_entry" in findings[1].message
 
     def test_out_of_scope_module_ignored(self, tmp_path):
         # Initial convergence / query code builds raw state before any
@@ -416,10 +433,8 @@ PIPELINE_STUB = """
 
     class RecomputePipeline:
         def run(self, dirty):
-            for router in sorted(dirty.ospf):
-                self.recompute(router)
-            for prefix in sorted(dirty.bgp_prefixes):
-                self.solve(prefix)
+            for stage in STAGES:
+                stage.run(self, dirty)
 """
 
 # Same shape, plus an ``acl_spans`` axis nothing in the pipeline reads.
@@ -436,11 +451,23 @@ UNCONSUMED_PIPELINE_STUB = """
 
     class RecomputePipeline:
         def run(self, dirty):
-            for router in sorted(dirty.ospf):
-                self.recompute(router)
-            for prefix in sorted(dirty.bgp_prefixes):
-                self.solve(prefix)
+            for stage in STAGES:
+                stage.run(self, dirty)
 """
+
+# The stage modules that read the stubs' ``ospf`` and ``bgp_prefixes``.
+STAGE_STUBS = {
+    "repro/core/stages/igp.py": """
+        def run(ctx, dirty):
+            for router in sorted(dirty.ospf):
+                ctx.recompute(router)
+    """,
+    "repro/core/stages/bgp.py": """
+        def run(ctx, dirty):
+            for prefix in sorted(dirty.bgp_prefixes):
+                ctx.solve(prefix)
+    """,
+}
 
 CHANGE_STUB = """
     class Edit:
@@ -459,6 +486,7 @@ class TestRegistryCoverage:
         root = make_project(tmp_path, {
             "repro/core/change.py": CHANGE_STUB,
             "repro/core/pipeline.py": PIPELINE_STUB,
+            **STAGE_STUBS,
             "repro/core/handlers.py": """
                 from repro.core.change import LinkDown
                 from repro.core.handlers_registry import register_change_handler
@@ -477,6 +505,7 @@ class TestRegistryCoverage:
                 CHANGE_STUB + "\n    class AclEdit(Edit):\n        pass\n"
             ),
             "repro/core/pipeline.py": PIPELINE_STUB,
+            **STAGE_STUBS,
             "repro/core/handlers.py": """
                 from repro.core.change import LinkDown
                 from repro.core.handlers_registry import register_change_handler
@@ -495,6 +524,7 @@ class TestRegistryCoverage:
         root = make_project(tmp_path, {
             "repro/core/change.py": CHANGE_STUB,
             "repro/core/pipeline.py": PIPELINE_STUB,
+            **STAGE_STUBS,
             "repro/core/handlers.py": """
                 from repro.core.change import LinkDown
                 from repro.core.handlers_registry import register_change_handler
@@ -512,6 +542,7 @@ class TestRegistryCoverage:
         root = make_project(tmp_path, {
             "repro/core/change.py": CHANGE_STUB,
             "repro/core/pipeline.py": UNCONSUMED_PIPELINE_STUB,
+            **STAGE_STUBS,
             "repro/core/handlers.py": """
                 from repro.core.change import LinkDown
                 from repro.core.handlers_registry import register_change_handler
@@ -538,6 +569,7 @@ class TestRegistryCoverage:
         root = make_project(tmp_path, {
             "repro/core/change.py": CHANGE_STUB,
             "repro/core/pipeline.py": UNCONSUMED_PIPELINE_STUB,
+            **STAGE_STUBS,
             "repro/core/handlers.py": """
                 from repro.core.change import LinkDown
                 from repro.core.handlers_registry import register_change_handler
@@ -551,6 +583,28 @@ class TestRegistryCoverage:
         assert len(findings) == 1
         assert "no recompute stage consumes" in findings[0].message
         assert "'acl_spans'" in findings[0].message
+
+    def test_axis_read_only_in_a_stage_module_is_consumed(self, tmp_path):
+        # Neither the runner nor another stage reads ``acl_spans``; one
+        # stage module does, which is consumption.
+        root = make_project(tmp_path, {
+            "repro/core/change.py": CHANGE_STUB,
+            "repro/core/pipeline.py": UNCONSUMED_PIPELINE_STUB,
+            **STAGE_STUBS,
+            "repro/core/stages/fib.py": """
+                def run(ctx, dirty):
+                    ctx.spans.extend(dirty.acl_spans)
+            """,
+            "repro/core/handlers.py": """
+                from repro.core.change import LinkDown
+                from repro.core.handlers_registry import register_change_handler
+
+                @register_change_handler(LinkDown)
+                def handle_link(analyzer, edit, dirty):
+                    dirty.acl_spans.append(edit.span)
+            """,
+        })
+        assert run_rule("H1", root) == []
 
 
 # -- M1: obs naming ----------------------------------------------------------

@@ -354,6 +354,65 @@ class TestAnalyzerIntegration:
         assert dumps(rebuilt.to_dict()) == dumps(document)
 
 
+def _fat_tree_link_down():
+    return (
+        Network.generate("fat_tree", size=4, trace=True),
+        ChangeSet().link_down("agg0_0", "edge0_0"),
+    )
+
+
+def _internet2_local_pref_flip():
+    from repro.workloads.changes import ChangeGenerator
+
+    network = Network.generate("internet2", trace=True)
+    return network, ChangeGenerator(network.scenario).dual_homed_pref_flip()
+
+
+class TestStageNumbersEmittedOnce:
+    """Each stage's numbers reach every sink from one record, so the
+    span, the event log, the metrics and ``report.counters`` agree."""
+
+    @pytest.mark.parametrize(
+        "build", [_fat_tree_link_down, _internet2_local_pref_flip],
+        ids=["fat_tree_link_down", "internet2_local_pref"],
+    )
+    def test_sinks_agree(self, build):
+        network, change = build()
+        report = network.preview(change, provenance=True)
+        spans = {
+            record.name: record.labels
+            for record in network.tracer.walk()
+            if record.name.startswith("pipeline.")
+        }
+        logged = [
+            record["data"]
+            for record in network.events
+            if record["type"] == "span"
+            and record["data"]["name"].startswith("pipeline.")
+        ]
+        assert [data["name"] for data in logged] == [
+            "pipeline.igp", "pipeline.bgp", "pipeline.fib",
+            "pipeline.reachability",
+        ]
+        for data in logged:
+            labels = {key: value for key, value in data.items() if key != "name"}
+            assert labels == spans[data["name"]]
+
+        metrics = {
+            record["data"]["name"]: record["data"]["value"]
+            for record in network.events
+            if record["type"] == "metric"
+        }
+        counters = network.metrics.counters()
+        assert metrics
+        for name, value in metrics.items():
+            key = name.removeprefix("pipeline.")
+            assert value == report.counters[key] == counters[name]
+        assert network.metrics.gauge("pipeline.atoms_total").value == (
+            report.counters["atoms_total"]
+        )
+
+
 class TestCampaignMetrics:
     def merged_metrics(self, jobs):
         network = Network.generate("ring", size=6)

@@ -21,8 +21,15 @@ import pytest
 
 from repro.config.text import serialize_configs
 from repro.controlplane.simulation import simulate
+from repro.core import codec
 from repro.core.analyzer import DifferentialNetworkAnalyzer
-from repro.core.change import Change, LinkDown
+from repro.core.change import (
+    Change,
+    ChangeError,
+    DisableOspfInterface,
+    EnableOspfInterface,
+    LinkDown,
+)
 from repro.core.forking import ForkError
 from repro.core.snapshot import serialize_topology
 from repro.core.snapshot_diff import SnapshotDiff, diff_states
@@ -151,6 +158,24 @@ class TestForkSemantics:
         with pytest.raises(Exception):
             analyzer.what_if(bad)
         _assert_rolled_back(analyzer, base, base_state)
+
+    @pytest.mark.parametrize("cost", [0, -5])
+    def test_ospf_enable_below_cost_floor_rejected(
+        self, fat_tree_k4_scenario, cost
+    ):
+        # Same floor as SetOspfCost: a cost below 1 would run SPF on a
+        # non-positive weight.
+        analyzer = DifferentialNetworkAnalyzer(
+            fat_tree_k4_scenario.snapshot.clone()
+        )
+        base = codec.snapshot_digest(analyzer.snapshot)
+        change = Change.of(
+            DisableOspfInterface("agg0_0", "eth0"),
+            EnableOspfInterface("agg0_0", "eth0", area=0, cost=cost),
+        )
+        with pytest.raises(ChangeError, match="OSPF cost must be >= 1"):
+            analyzer.what_if(change)
+        assert codec.snapshot_digest(analyzer.snapshot) == base
 
     def test_nested_forks_rejected(self, ring8_scenario):
         analyzer = DifferentialNetworkAnalyzer(ring8_scenario.snapshot.clone())
