@@ -5,7 +5,7 @@ through ``analyze_batch`` — all edits to control-plane state first,
 one merged DirtySet, one scoped recompute + differential data plane
 pass — does less work than N sequential ``analyze`` calls, because the
 per-pass costs (SPF route refreshes per affected source, FIB
-resolution, reachability closure, BGP epoch capture) are paid once
+resolution, reachability closure, BGP next-hop fingerprints) are paid once
 instead of N times.  The gate is on work counters: on the 20-router
 fat-tree k=4 the batched k=8 mixed run makes one recompute pass
 against eight, and recomputes fewer SPF sources and fewer atoms than

@@ -13,7 +13,8 @@ explicit three-stage pipeline:
 2. **Scoped recomputation** (:mod:`repro.core.stages.igp`,
    :mod:`repro.core.stages.bgp`) — OSPF routes are recomputed only for
    affected sources (and only for changed prefixes elsewhere); BGP is
-   re-solved per dirty prefix.
+   re-solved per dirty prefix, and re-reads the IGP only for the next
+   hops and multihop sessions under the IGP routes the pass rewrote.
 3. **Differential data plane** (:mod:`repro.core.stages.fib`,
    :mod:`repro.core.stages.reach`) — FIB entries are rebuilt only for
    (router, prefix) pairs whose best route or next-hop resolution
@@ -53,7 +54,6 @@ from repro.core.handlers import handler_for
 from repro.core.pipeline import DirtySet, RecomputePipeline
 from repro.core.planner import BatchPlanner
 from repro.core.snapshot import Snapshot
-from repro.core.stages import bgp
 from repro.obs import NULL_TRACER, EventLog, MetricsRegistry, Tracer
 from repro.obs.provenance import ProvenanceRecord
 
@@ -165,8 +165,6 @@ class DifferentialNetworkAnalyzer:
         ):
             try:
                 with self.tracer.span("analyze.edits") as edits_span:
-                    with self.tracer.span("analyze.epoch"):
-                        epoch = bgp.begin(self)
                     dirty = DirtySet()
                     edits_applied = 0
                     if record is not None and self.events is not None:
@@ -200,7 +198,7 @@ class DifferentialNetworkAnalyzer:
                             edits_applied += 1
                     edits_span.set(edits=edits_applied)
 
-                RecomputePipeline(self).run(dirty, epoch, report)
+                RecomputePipeline(self).run(dirty, report)
             finally:
                 # A failed committed application may still have mutated
                 # state (edits apply in order, without a fork nothing

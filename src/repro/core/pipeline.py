@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 from repro.controlplane.bgp import SessionPair
 from repro.controlplane.incremental import OspfDirty
 from repro.core.stages import Pass, Stage, StageWork, bgp, fib, igp, reach
-from repro.net.addr import IPv4Address, Prefix
+from repro.net.addr import Prefix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.analyzer import DifferentialNetworkAnalyzer
@@ -27,8 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.trace import LabelValue
 
 Span = tuple[int, int]
-BgpPair = tuple[str, IPv4Address]
-Fingerprint = tuple[object, object]
 
 
 @dataclass
@@ -212,21 +210,6 @@ class DirtySet:
         return f"DirtySet({', '.join(parts) if parts else 'empty'})"
 
 
-@dataclass
-class BgpEpoch:
-    """Pre-edit BGP observations the recompute stage diffs against.
-
-    Captured *before* any edit applies (IGP costs and session liveness
-    feed the BGP decision process, so their pre-images must be frozen
-    first), and consumed exactly once by :meth:`RecomputePipeline.run`.
-    """
-
-    active: bool
-    pair_index: dict[BgpPair, set[Prefix]] = field(default_factory=dict)
-    pre_fingerprint: dict[BgpPair, Fingerprint] = field(default_factory=dict)
-    pre_liveness: dict[BgpPair, bool] = field(default_factory=dict)
-
-
 # In pass order.
 STAGES: tuple[Stage, ...] = (igp, bgp, fib, reach)
 
@@ -243,7 +226,7 @@ class RecomputePipeline:
     def __init__(self, analyzer: "DifferentialNetworkAnalyzer") -> None:
         self.analyzer = analyzer
 
-    def run(self, dirty: DirtySet, epoch: BgpEpoch, report: DeltaReport) -> None:
+    def run(self, dirty: DirtySet, report: DeltaReport) -> None:
         """Stages 2–3: consume ``dirty``, write deltas into ``report``.
 
         Each stage runs under a tracer span opened with the dirty-set
@@ -253,7 +236,7 @@ class RecomputePipeline:
         and — on provenance passes — the event log.
         """
         analyzer = self.analyzer
-        ctx = Pass(analyzer, dirty, epoch, report)
+        ctx = Pass(analyzer, dirty, report)
         sizes = dirty.sizes()
         opening: dict[str, LabelValue] = {**sizes, "all_bgp_dirty": dirty.all_bgp_dirty}
         done: list[tuple[str, dict[str, LabelValue], StageWork]] = []

@@ -20,7 +20,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.controlplane.rib import Route
     from repro.core.analyzer import DifferentialNetworkAnalyzer
     from repro.core.delta import DeltaReport
-    from repro.core.pipeline import BgpEpoch, DirtySet, Span
+    from repro.core.pipeline import DirtySet, Span
+    from repro.core.stages.bgp import BgpPair, Fingerprint
     from repro.obs.provenance import ProvenanceRecord
     from repro.obs.trace import LabelValue
 
@@ -50,22 +51,21 @@ class Pass:
 
     ``journal`` is None when the pass commits, ``attr`` unless the pass
     records provenance.  ``best_changed`` (the RIB delta, IGP/BGP →
-    FIB) and ``spans`` (FIB-changed header space, FIB → reachability)
-    are the hand-offs between stages.
+    FIB), ``spans`` (FIB-changed header space, FIB → reachability) and
+    ``igp_pairs``/``igp_sessions`` (IGP → BGP: the pre-write images of
+    :func:`~repro.core.stages.bgp.pre_image`) are the hand-offs.
     """
 
     def __init__(
         self,
         analyzer: DifferentialNetworkAnalyzer,
         dirty: DirtySet,
-        epoch: BgpEpoch,
         report: DeltaReport,
     ) -> None:
         self.analyzer = analyzer
         self.state = analyzer.state
         self.journal = analyzer._journal
         self.report = report
-        self.epoch = epoch
         self.attr = (
             Attribution(dirty, report.provenance)
             if report.provenance is not None
@@ -73,6 +73,8 @@ class Pass:
         )
         self.best_changed: BestChanged = {}
         self.spans: list[Span] = []
+        self.igp_pairs: dict[BgpPair, tuple[Fingerprint, set[Prefix]]] = {}
+        self.igp_sessions: dict[BgpPair, bool] = {}
 
     def install(
         self,

@@ -1,18 +1,20 @@
-"""The BGP stage, and the pre-edit epoch (:func:`begin`) it diffs against.
+"""The BGP stage, and the pre-image of IGP writes it diffs against.
 
 :func:`run` is a sub-pipeline mirroring the
 :mod:`repro.controlplane.bgp` package — session discovery, policy
 scoping, adj-RIB invalidation, best-path decision — each consuming its
 own DirtySet axis under its own ``pipeline.bgp.*`` span (children of
 ``pipeline.bgp``, so the top-level stage list is unchanged).
+
+IGP drift reaches BGP only through the IGP adapter, which only the IGP
+stage's write loop changes: it calls :func:`pre_image` with the keys
+it is about to write, and the adj-RIB sub-stage compares after them.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-# A module import: pipeline.py imports this module while it is loading.
-import repro.core.pipeline as pipeline
 from repro.controlplane.bgp import (
     INFINITY,
     BgpSolver,
@@ -21,14 +23,17 @@ from repro.controlplane.bgp import (
     discover_sessions_for,
 )
 from repro.core.stages import Attribution, Pass, RibKey, StageWork
-from repro.net.addr import Prefix
+from repro.net.addr import IPv4Address, Prefix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.config.routemap import AttributeBundle
-    from repro.core.analyzer import DifferentialNetworkAnalyzer
-    from repro.core.pipeline import BgpPair, DirtySet, Fingerprint
+    from repro.controlplane.simulation import NetworkState
+    from repro.core.pipeline import DirtySet
 
     Origins = dict[Prefix, dict[str, AttributeBundle]]
+
+BgpPair = tuple[str, IPv4Address]
+Fingerprint = tuple[object, object]
 
 NAME = "pipeline.bgp"
 AXES: tuple[str, ...] = (
@@ -36,68 +41,55 @@ AXES: tuple[str, ...] = (
 )
 
 
-def begin(analyzer: DifferentialNetworkAnalyzer) -> pipeline.BgpEpoch:
-    """Freeze the pre-edit BGP observations for one recompute pass.
+def pre_image(ctx: Pass, written: set[RibKey]) -> None:
+    """Fingerprint, before the IGP stage writes ``written``, every BGP
+    pair and multihop session those writes can move.
 
-    Runs before any edit of the batch applies: IGP costs and session
-    liveness feed the BGP decision, so their pre-images come first.
+    A (router, next hop) pair's cost and resolved hops, and a multihop
+    session's liveness, come from the longest IGP match at that router
+    alone, so (r, a) can move only under a written (r, p) with a in p.
+    Fills ``ctx.igp_pairs`` (pair -> fingerprint, prefixes whose
+    solution involves it) and ``ctx.igp_sessions`` (session -> live):
+    one scan over the solutions, none unless a key is at a BGP router.
     """
-    if not analyzer.state.bgp_solutions and all(
-        config.bgp is None for config in analyzer.snapshot.configs.values()
-    ):
-        return pipeline.BgpEpoch(active=False)
-    pair_index = _bgp_pair_index(analyzer)
-    return pipeline.BgpEpoch(
-        active=True,
-        pair_index=pair_index,
-        pre_fingerprint={
-            pair: _pair_fingerprint(analyzer, pair) for pair in pair_index
-        },
-        pre_liveness=_session_liveness(analyzer),
-    )
-
-
-def _bgp_pair_index(
-    analyzer: DifferentialNetworkAnalyzer,
-) -> dict[BgpPair, set[Prefix]]:
-    """(router, next-hop) -> prefixes whose solution involves it."""
+    state = ctx.state
+    if not state.bgp_sessions:
+        return  # no sessions, no BGP next hops: O(1) without BGP
+    configs = ctx.analyzer.snapshot.configs
+    under: dict[str, list[Prefix]] = {}
+    for router, prefix in written:
+        config = configs.get(router)
+        if config is not None and config.bgp is not None:
+            under.setdefault(router, []).append(prefix)
+    if not under:
+        return
     index: dict[BgpPair, set[Prefix]] = {}
-    for prefix, solution in analyzer.state.bgp_solutions.items():
-        for (receiver, _sender), candidate in solution.adj_in.items():
-            if candidate.next_hop is not None:
-                index.setdefault((receiver, candidate.next_hop), set()).add(
-                    prefix
-                )
+    for prefix, solution in state.bgp_solutions.items():
+        for (router, _sender), candidate in solution.adj_in.items():
+            if router in under and candidate.next_hop is not None:
+                index.setdefault((router, candidate.next_hop), set()).add(prefix)
         for router, candidate in solution.best.items():
-            if candidate.next_hop is not None:
-                index.setdefault((router, candidate.next_hop), set()).add(
-                    prefix
-                )
-    return index
+            if router in under and candidate.next_hop is not None:
+                index.setdefault((router, candidate.next_hop), set()).add(prefix)
+    for pair, prefixes in index.items():
+        if _covered(under, pair):
+            ctx.igp_pairs[pair] = (_fingerprint(state, pair), prefixes)
+    for session in state.bgp_sessions:
+        pair = (session.local, session.peer_ip)
+        if not session.direct and _covered(under, pair):
+            ctx.igp_sessions[pair] = state.igp.cost_to(*pair) < INFINITY
 
 
-def _pair_fingerprint(
-    analyzer: DifferentialNetworkAnalyzer, pair: BgpPair
-) -> Fingerprint:
+def _covered(under: dict[str, list[Prefix]], pair: BgpPair) -> bool:
     router, address = pair
-    state = analyzer.state
+    return any(prefix.contains_address(address) for prefix in under.get(router, ()))
+
+
+def _fingerprint(state: NetworkState, pair: BgpPair) -> Fingerprint:
+    router, address = pair
     cost = state.igp.cost_to(router, address)
     resolved = state.igp.resolve(router, address, state.address_index)
     return (cost, resolved)
-
-
-def _session_liveness(
-    analyzer: DifferentialNetworkAnalyzer,
-) -> dict[BgpPair, bool]:
-    state = analyzer.state
-    liveness: dict[BgpPair, bool] = {}
-    for session in state.bgp_sessions:
-        if session.direct:
-            continue
-        liveness[(session.local, session.peer_ip)] = (
-            state.igp.cost_to(session.local, session.peer_ip) < INFINITY
-        )
-    return liveness
 
 
 class _Scope:
@@ -132,13 +124,16 @@ class _Scope:
 def run(ctx: Pass, dirty: DirtySet) -> StageWork:
     """Re-solve the dirtied BGP prefixes (nothing without BGP)."""
     solved = rescanned = 0
-    if ctx.epoch.active:
+    if ctx.state.bgp_solutions or any(
+        config.bgp is not None for config in ctx.analyzer.snapshot.configs.values()
+    ):
         solved, rescanned = _recompute_bgp(ctx, dirty)
     return StageWork(
         labels={"prefixes_solved": solved, "sessions_rescanned": rescanned},
         counters={
             "bgp_prefixes_resolved": solved,
             "bgp_sessions_rescanned": rescanned,
+            "bgp_pairs_fingerprinted": len(ctx.igp_pairs) + len(ctx.igp_sessions),
         },
     )
 
@@ -249,6 +244,14 @@ def _sessions_stage(ctx: Pass, dirty: DirtySet, scope: _Scope) -> int:
     new_keys = {(s.local, s.peer, s.local_ip, s.peer_ip) for s in new_sessions}
     removed = old_keys - new_keys
     added = new_keys - old_keys
+    # A multihop session that appears or goes has no pre- or no
+    # post-image: its liveness flips (see _adjrib_stage).
+    old_multihop = {(s.local, s.peer_ip) for s in state.bgp_sessions if not s.direct}
+    new_multihop = {(s.local, s.peer_ip) for s in new_sessions if not s.direct}
+    for local, _peer_ip in old_multihop ^ new_multihop:
+        scope.all_dirty = True
+        if attr is not None:
+            scope.all_cause |= attr.igp_cause_at(local)
     if added:
         scope.all_dirty = True
         if attr is not None:
@@ -330,23 +333,21 @@ def _adjrib_stage(
 ) -> tuple[set[RibKey], bool]:
     """Stage 3 — adj-RIB invalidation from IGP and origination drift.
 
-    IGP cost changes flip decisions; resolution changes require
-    FIB rebuilds even when decisions hold; liveness flips on
-    multihop sessions escalate to all-dirty.  Origination drift
-    beyond explicit announce/withdraw edits (redistribute-connected
-    picking up connected-route changes) dirties the drifted
-    prefixes.  Returns ``(resolution-only refreshes, liveness
-    escalation)``.
+    IGP cost changes since :func:`pre_image` flip decisions;
+    resolution changes require FIB rebuilds even when decisions hold;
+    liveness flips on multihop sessions escalate to all-dirty.
+    Origination drift beyond explicit announce/withdraw edits
+    (redistribute-connected picking up connected-route changes)
+    dirties the drifted prefixes.  Returns ``(resolution-only
+    refreshes, liveness escalation)``.
     """
     analyzer = ctx.analyzer
     state = ctx.state
     attr = ctx.attr
-    epoch = ctx.epoch
     resolution_refresh: set[RibKey] = set()
     liveness_dirty = False
-    for pair, prefixes in epoch.pair_index.items():
-        post = _pair_fingerprint(analyzer, pair)
-        pre = epoch.pre_fingerprint[pair]
+    for pair, (pre, prefixes) in ctx.igp_pairs.items():
+        post = _fingerprint(state, pair)
         if pre == post:
             continue
         pair_igp_cause = (
@@ -372,13 +373,13 @@ def _adjrib_stage(
                         attr.resolution_causes.setdefault(
                             (router, prefix), set()
                         ).update(pair_igp_cause)
-    post_liveness = _session_liveness(analyzer)
-    if epoch.pre_liveness != post_liveness:
-        liveness_dirty = True
-        if attr is not None:
-            for pair in set(epoch.pre_liveness) | set(post_liveness):
-                if epoch.pre_liveness.get(pair) != post_liveness.get(pair):
-                    scope.all_cause |= attr.igp_cause_at(pair[0])
+    # A session the sessions stage dropped may flip here too; its
+    # escalation and cause are the same either way.
+    for session, live in ctx.igp_sessions.items():
+        if (state.igp.cost_to(*session) < INFINITY) != live:
+            liveness_dirty = True
+            if attr is not None:
+                scope.all_cause |= attr.igp_cause_at(session[0])
 
     # Origination drift beyond explicit announce/withdraw edits:
     # redistribute-connected picks up connected-route changes.

@@ -12,7 +12,7 @@ from repro.controlplane.ospf import (
     backbone_totals,
     ospf_routes_for_source,
 )
-from repro.core.stages import Pass, RibKey, StageWork
+from repro.core.stages import Pass, RibKey, StageWork, bgp
 from repro.net.addr import Prefix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -29,6 +29,7 @@ def run(ctx: Pass, dirty: DirtySet) -> StageWork:
     state = ctx.state
     written, rederived = _recompute_ospf(ctx, dirty)
     written |= _recompute_local(ctx, dirty)
+    bgp.pre_image(ctx, written)
     # Sorted, so journal and adapter order do not depend on the hash
     # seed.
     for router, prefix in sorted(written):

@@ -15,8 +15,9 @@ DESIGN.md fixes two conventions for the obs layer:
 
 This checker enforces both: literal first arguments of
 ``.span()``/``.counter()``/``.gauge()``/``.histogram()``/``.metric()``
-calls must match the grammar; metric names must not contain timing
-words; and values recorded through a chained
+calls, and the ``NAME`` constants that name the stage spans in
+``repro/core/stages/``, must match the grammar; metric names must not
+contain timing words; and values recorded through a chained
 ``metrics.counter(...).inc(v)`` (or ``.observe``/``.set``) must not
 derive from ``Span.duration`` or ``time.*``.
 """
@@ -26,7 +27,7 @@ from __future__ import annotations
 import ast
 import re
 
-from repro.lint.base import Finding, LintVisitor, Project, rule
+from repro.lint.base import Finding, LintVisitor, Project, const_str, rule
 
 NAME_GRAMMAR = re.compile(r"[a-z][a-z0-9_]*(\.[a-z0-9_]+)+")
 
@@ -70,6 +71,15 @@ def _carries_wall_time(node: ast.AST) -> str | None:
 class _ObsNamingVisitor(LintVisitor):
     rule_id = "M1"
 
+    def visit_Assign(self, node: ast.Assign) -> None:
+        # Stage spans open as ``tracer.span(stage.NAME, ...)``, out of
+        # the call check's reach, so check each stage's constant.
+        name = const_str(node.value)
+        if name is not None and self.context.rel.startswith("repro/core/stages/"):
+            if any(isinstance(t, ast.Name) and t.id == "NAME" for t in node.targets):
+                self._grammar_ok(node, f"stage NAME {name!r}", name)
+        self.generic_visit(node)
+
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         if isinstance(func, ast.Attribute):
@@ -93,12 +103,7 @@ class _ObsNamingVisitor(LintVisitor):
         name = _first_str_arg(node)
         if name is None:
             return  # dynamic or non-obs call (e.g. IntervalSet.span)
-        if NAME_GRAMMAR.fullmatch(name) is None:
-            self.flag(
-                node,
-                f".{method}({name!r}) violates the obs name grammar "
-                "'component.operation' (lower-case dotted segments)",
-            )
+        if not self._grammar_ok(node, f".{method}({name!r})", name):
             return
         if method in METRIC_METHODS:
             segments = set(re.split(r"[._]", name))
@@ -110,6 +115,16 @@ class _ObsNamingVisitor(LintVisitor):
                     f"({sorted(timing)}); metrics record work counts, "
                     "never time",
                 )
+
+    def _grammar_ok(self, node: ast.AST, what: str, name: str) -> bool:
+        if NAME_GRAMMAR.fullmatch(name) is not None:
+            return True
+        self.flag(
+            node,
+            f"{what} violates the obs name grammar "
+            "'component.operation' (lower-case dotted segments)",
+        )
+        return False
 
     def _is_metric_chain(self, receiver: ast.AST) -> bool:
         """True for ``<registry>.counter|gauge|histogram(...)`` chains."""

@@ -29,6 +29,8 @@ from repro.core.change import (
     Change,
     Edit,
     LinkDown,
+    RemoveBgpNeighbor,
+    SetLocalPref,
     SetOspfCost,
 )
 from repro.core.change_text import (
@@ -48,6 +50,7 @@ from repro.core.pipeline import DirtySet
 from repro.core.snapshot import serialize_topology
 from repro.core.snapshot_diff import SnapshotDiff, diff_states
 from repro.net.addr import Prefix
+from repro.obs import Tracer
 from repro.workloads.changes import ChangeGenerator
 from repro.workloads.scenarios import internet2_bgp, ring_ospf
 
@@ -654,6 +657,133 @@ class TestBgpStageGranularity:
         flip = gen.dual_homed_pref_flip(100, 200)
         report, _full_scan = _scoped_vs_full_rescan(internet2_scenario, [flip])
         assert report.counters["bgp_sessions_rescanned"] == 0
+
+
+def _igp_driven(scenario, setup: list[Change], change: Change):
+    """Commit ``setup``, then analyze ``change`` traced.
+
+    The report must equal SnapshotDiff's and the converged state a
+    fresh ``simulate()``.  Returns the report and the labels of the
+    ``pipeline.bgp.adjrib`` span.
+    """
+    tracer = Tracer()
+    analyzer = DifferentialNetworkAnalyzer(
+        scenario.snapshot.clone(), tracer=tracer
+    )
+    for step in setup:
+        analyzer.analyze(step)
+    expected = SnapshotDiff(analyzer.snapshot.clone()).analyze(change)
+    tracer.reset()
+    report = analyzer.analyze(change)
+    assert report.behavior_signature() == expected.behavior_signature()
+    fresh = simulate(analyzer.snapshot.clone(), precompute_reachability=True)
+    drift = diff_states(analyzer.state, fresh)
+    assert drift.is_empty(), f"state drift:\n{drift.summary()}"
+    return report, tracer.find("pipeline.bgp.adjrib").labels
+
+
+class TestIgpDrivenBgp:
+    """IGP writes move BGP only through the (router, next hop) pairs and
+    multihop sessions under the written keys: each way they can move,
+    against SnapshotDiff, and the pairs fingerprinted per pass."""
+
+    def test_cost_change_flips_best_path_on_igp_tiebreak(
+        self, internet2_scenario
+    ):
+        # Equal local-prefs leave cust_dual's two exits (SEAT, NEWY)
+        # to the IGP-cost tie-break; KANS's cost towards SEAT then moves.
+        dual = set(internet2_scenario.fabric.host_subnets["cust_dual"])
+        report, _labels = _igp_driven(
+            internet2_scenario,
+            [Change.of(SetLocalPref("SEAT", "IMP_CUST_DUAL_0", 10, 100))],
+            Change.of(SetOspfCost("KANS", "eth0", 11)),
+        )
+        flipped = {
+            prefix
+            for prefix, (old, new) in report.rib_changes["KANS"].items()
+            if old is not None
+            and new is not None
+            and old.protocol == new.protocol == "bgp"
+            and old.bgp_next_hop != new.bgp_next_hop
+        }
+        assert flipped == dual
+
+    def test_link_down_moves_only_resolved_hops(self, internet2_scenario):
+        # LOSA--SEAT at cost 20 ties LOSA--SALT--SEAT, so losing it
+        # changes no IGP cost anywhere, only next-hop sets.
+        customer_prefixes = {
+            prefix
+            for router, prefixes in internet2_scenario.fabric.host_subnets.items()
+            if internet2_scenario.fabric.roles.get(router) == "customer"
+            for prefix in prefixes
+        }
+        report, labels = _igp_driven(
+            internet2_scenario,
+            [
+                Change.of(
+                    SetOspfCost("LOSA", "eth0", 20),
+                    SetOspfCost("SEAT", "eth0", 20),
+                )
+            ],
+            Change.of(LinkDown("LOSA", "SEAT", "eth0", "eth0")),
+        )
+        assert report.counters["bgp_prefixes_resolved"] == 0
+        assert labels["resolution_refreshes"] > 0
+        assert any(
+            prefix in customer_prefixes
+            for entries in report.fib_changes.values()
+            for prefix in entries
+        )
+
+    def test_cutting_a_loopback_off_downs_its_ibgp_sessions(
+        self, internet2_scenario
+    ):
+        # SEAT's only two core links: its loopback leaves the IGP, so
+        # every iBGP multihop session to or from it goes down.
+        report, labels = _igp_driven(
+            internet2_scenario,
+            [],
+            Change.of(
+                LinkDown("LOSA", "SEAT", "eth0", "eth0"),
+                LinkDown("SALT", "SEAT", "eth0", "eth1"),
+            ),
+        )
+        assert labels["liveness_dirty"] is True
+        assert report.counters["bgp_pairs_fingerprinted"] > 0
+
+    def test_dropping_an_ibgp_session_escalates(self, internet2_scenario):
+        # A multihop session that goes has no post-image: its liveness
+        # flips, which re-solves every prefix.
+        newy_loopback = internet2_scenario.topology.router("NEWY").interface(
+            "lo0"
+        ).address
+        report, labels = _igp_driven(
+            internet2_scenario,
+            [],
+            Change.of(RemoveBgpNeighbor("SEAT", newy_loopback)),
+        )
+        assert labels["liveness_dirty"] is False
+        base = simulate(internet2_scenario.snapshot.clone())
+        assert report.counters["bgp_prefixes_resolved"] == len(
+            base.bgp_solutions
+        )
+
+    def test_pairs_fingerprinted_follow_igp_writes(
+        self, internet2_scenario, fat_tree_k4_scenario
+    ):
+        wan = DifferentialNetworkAnalyzer(internet2_scenario.snapshot.clone())
+        gen = ChangeGenerator(internet2_scenario, seed=93)
+        flip = gen.dual_homed_pref_flip(100, 200)
+        announce, _withdraw = gen.random_prefix_flap()
+        down, _up = gen.random_link_failure()
+        assert wan.what_if(flip).counters["bgp_pairs_fingerprinted"] == 0
+        assert wan.what_if(announce).counters["bgp_pairs_fingerprinted"] == 0
+        assert wan.what_if(down).counters["bgp_pairs_fingerprinted"] > 0
+        dc = DifferentialNetworkAnalyzer(fat_tree_k4_scenario.snapshot.clone())
+        dc_down, _dc_up = ChangeGenerator(
+            fat_tree_k4_scenario, seed=93
+        ).random_link_failure()
+        assert dc.what_if(dc_down).counters["bgp_pairs_fingerprinted"] == 0
 
 
 class TestBatchPlanner:

@@ -661,6 +661,23 @@ class TestObsNaming:
         # f-string names are dynamic and skipped by design.
         assert run_rule("M1", root) == []
 
+    def test_malformed_stage_name_flagged(self, tmp_path):
+        # The runner opens ``tracer.span(stage.NAME, ...)``; the name
+        # itself lives in the stage module's constant.
+        root = make_project(tmp_path, {
+            "repro/core/stages/igp.py": """
+                NAME = "Pipeline-IGP"
+                AXES = ("spf_sources",)
+            """,
+            "repro/core/stages/fib.py": """
+                NAME = "pipeline.fib"
+            """,
+        })
+        findings = run_rule("M1", root)
+        assert len(findings) == 1
+        assert findings[0].path == "repro/core/stages/igp.py"
+        assert "name grammar" in findings[0].message
+
     def test_non_obs_span_method_skipped(self, tmp_path):
         root = make_project(tmp_path, {
             "repro/net/interval.py": """

@@ -8,12 +8,15 @@ disagreeing change sequence — the most valuable debugging artifact
 this repository has.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.analyzer import DifferentialNetworkAnalyzer
+from repro.core.change import Change
 from repro.core.oracle import EquivalenceOracle
+from repro.core.snapshot_diff import SnapshotDiff
 from repro.workloads.changes import ChangeGenerator
-from repro.workloads.scenarios import line_static, ring_ospf
+from repro.workloads.scenarios import Scenario, internet2_bgp, line_static, ring_ospf
 
 IGP_KINDS = ("link", "iface", "static", "cost")
 
@@ -22,21 +25,21 @@ _sequences = st.lists(
 )
 
 
-def _apply_kind(oracle: EquivalenceOracle, generator: ChangeGenerator, kind: str) -> None:
+def _changes(generator: ChangeGenerator, kind: str) -> list[Change]:
+    """The changes one drawn kind stands for, in the order they apply."""
     if kind == "link":
-        down, up = generator.random_link_failure()
-        oracle.step(down)
-        oracle.step(up)
-    elif kind == "iface":
-        shutdown, enable = generator.random_interface_flap()
-        oracle.step(shutdown)
-        oracle.step(enable)
-    elif kind == "static":
-        add, remove = generator.random_static_route()
-        oracle.step(add)
-        oracle.step(remove)
-    elif kind == "cost":
-        oracle.step(generator.random_ospf_cost())
+        return list(generator.random_link_failure())
+    if kind == "iface":
+        return list(generator.random_interface_flap())
+    if kind == "static":
+        return list(generator.random_static_route())
+    if kind == "cost":
+        return [generator.random_ospf_cost()]
+    if kind == "session":
+        return list(generator.random_session_flap())
+    if kind == "prefix":
+        return list(generator.random_prefix_flap())
+    return [generator.dual_homed_pref_flip()]
 
 
 @settings(
@@ -50,7 +53,8 @@ def test_ospf_ring_streams_agree(kinds, seed):
     oracle = EquivalenceOracle(DifferentialNetworkAnalyzer(scenario.snapshot))
     generator = ChangeGenerator(scenario, seed=seed)
     for kind in kinds:
-        _apply_kind(oracle, generator, kind)
+        for change in _changes(generator, kind):
+            oracle.step(change)
     assert oracle.stats.pass_rate == 1.0
 
 
@@ -68,5 +72,40 @@ def test_static_chain_streams_agree(kinds, seed):
     oracle = EquivalenceOracle(DifferentialNetworkAnalyzer(scenario.snapshot))
     generator = ChangeGenerator(scenario, seed=seed)
     for kind in kinds:
-        _apply_kind(oracle, generator, kind)
+        for change in _changes(generator, kind):
+            oracle.step(change)
+    assert oracle.stats.pass_rate == 1.0
+
+
+# BGP kinds next to the IGP ones whose drift BGP must follow.
+BGP_KINDS = ("link", "cost", "session", "prefix", "pref")
+
+
+@pytest.fixture(scope="module")
+def small_wan() -> Scenario:
+    return internet2_bgp(customers_per_pop=1, prefixes_per_customer=1)
+
+
+@settings(
+    max_examples=8,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    kinds=st.lists(st.sampled_from(BGP_KINDS), min_size=1, max_size=4),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_internet2_bgp_streams_agree(small_wan, kinds, seed):
+    """Every step agrees with SnapshotDiff twice: previewed through
+    ``what_if`` (fork and rollback), then committed by the oracle."""
+    analyzer = DifferentialNetworkAnalyzer(small_wan.snapshot.clone())
+    oracle = EquivalenceOracle(analyzer)
+    generator = ChangeGenerator(small_wan, seed=seed)
+    for kind in kinds:
+        for change in _changes(generator, kind):
+            expected = SnapshotDiff(analyzer.snapshot.clone()).analyze(change)
+            previewed = analyzer.what_if(change)
+            assert previewed.behavior_signature() == expected.behavior_signature()
+            oracle.step(change)
     assert oracle.stats.pass_rate == 1.0
