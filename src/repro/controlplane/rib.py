@@ -153,11 +153,6 @@ class Rib:
         """Winning route per prefix."""
         return {prefix: self.best(prefix) for prefix in self._routes}  # type: ignore[misc]
 
-    def all_routes(self) -> Iterator[Route]:
-        """Every installed route, all protocols."""
-        for per_prefix in self._routes.values():
-            yield from per_prefix.values()
-
     def __len__(self) -> int:
         return sum(len(per_prefix) for per_prefix in self._routes.values())
 

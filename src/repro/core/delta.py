@@ -18,6 +18,7 @@ the union of both boundary sets and merged back greedily.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -149,13 +150,14 @@ def diff_reach_coverage(
         points.add(lo)
         points.add(hi)
     ordered = sorted(points)
+    before_sorted = sorted(before, key=lambda p: p[0])
+    after_sorted = sorted(after, key=lambda p: p[0])
+    before_los = [p[0] for p in before_sorted]
+    after_los = [p[0] for p in after_sorted]
 
-    def coverage_at(pieces: list[tuple[int, int, AtomReachability]], lo: int):
-        # Pieces are sorted; simple scan with an index would be faster,
-        # but bisect keeps this reusable for unsorted callers.
-        from bisect import bisect_right
-
-        los = [p[0] for p in pieces]
+    def coverage_at(
+        pieces: list[tuple[int, int, AtomReachability]], los: list[int], lo: int
+    ) -> AtomReachability | None:
         index = bisect_right(los, lo) - 1
         if index >= 0:
             p_lo, p_hi, reach = pieces[index]
@@ -163,13 +165,11 @@ def diff_reach_coverage(
                 return reach
         return None
 
-    before_sorted = sorted(before, key=lambda p: p[0])
-    after_sorted = sorted(after, key=lambda p: p[0])
     segments: list[ReachSegment] = []
     for index in range(len(ordered) - 1):
         lo, hi = ordered[index], ordered[index + 1]
-        piece_before = coverage_at(before_sorted, lo)
-        piece_after = coverage_at(after_sorted, lo)
+        piece_before = coverage_at(before_sorted, before_los, lo)
+        piece_after = coverage_at(after_sorted, after_los, lo)
         if piece_before is None and piece_after is None:
             continue
         # A region covered on one side only cannot be diffed honestly;
@@ -177,6 +177,12 @@ def diff_reach_coverage(
         # the missing side as "unchanged" by skipping.
         if piece_before is None or piece_after is None:
             continue
+        if piece_before is piece_after or (
+            piece_before.sources == piece_after.sources
+            and piece_before.loop_routers == piece_after.loop_routers
+            and piece_before.blackhole_routers == piece_after.blackhole_routers
+        ):
+            continue  # no behaviour change, no segment
         segment = _segment_between(lo, hi, piece_before, piece_after)
         if not segment.is_empty():
             segments.append(segment)

@@ -21,6 +21,10 @@ granularity it is touched —
 - FIBs: the old entry per (router, prefix) — rollback replays the
   inverse ``update_fib_entry``, which also restores the refcounted
   atom decomposition exactly;
+- per-(router, atom) actions: the first before-image of each changed
+  pair on an atom live since the fork began — rollback reinstates
+  them on the atoms that are live again, so the next request does not
+  re-derive them;
 - ACL interval registrations, replayed inverted in reverse order;
 - reachability: the pre-change cache entries of the purged region,
   reinserted after the atom structure is back.
@@ -36,7 +40,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable
 
 from repro.controlplane.rib import Route
+from repro.dataplane.atoms import Atom
 from repro.dataplane.fib import FibEntry
+from repro.dataplane.forwarding import Action, ActionDelta, ActionKey
 from repro.dataplane.reachability import AtomReachability
 from repro.net.addr import Prefix
 
@@ -70,6 +76,10 @@ class UndoJournal:
         self._origins = _UNSET
         self._solutions: dict[Prefix, object] = {}  # prefix -> old | _MISSING
         self._fib: dict[tuple[str, Prefix], FibEntry | None] = {}
+        self._actions: dict[ActionKey, Action | None] = {}
+        # Atoms cut-point changes made during the fork: an action first
+        # touched on one of them may already be a fork-time action.
+        self._created: set[Atom] = set()
         self._acl_ops: list[tuple[int, int, bool]] = []
         self._acl_spans: list[tuple[int, int]] = []
         self._reach_regions: list[tuple[int, int]] = []
@@ -154,8 +164,17 @@ class UndoJournal:
     ) -> None:
         self._fib.setdefault((router, prefix), old_entry)
 
-    def record_acl_structure(self, lo: int, hi: int, register: bool) -> None:
+    def record_actions(self, delta: ActionDelta) -> None:
+        self._created |= delta.created
+        for key, (old, _new) in delta.changed.items():
+            if key[1] not in self._created:
+                self._actions.setdefault(key, old)
+
+    def record_acl_structure(
+        self, lo: int, hi: int, register: bool, created: set[Atom]
+    ) -> None:
         self._acl_ops.append((lo, hi, register))
+        self._created |= created
 
     def record_acl_span(self, lo: int, hi: int) -> None:
         self._acl_spans.append((lo, hi))
@@ -189,6 +208,7 @@ class UndoJournal:
         span.set(
             rib_prefixes=len(self._rib),
             fib_entries=len(self._fib),
+            actions=len(self._actions),
             ospf_checkpoint=self._ospf_checkpoint is not None,
         )
 
@@ -231,15 +251,19 @@ class UndoJournal:
         for link, enabled in self._link_flags.items():
             snapshot.topology.set_link_enabled(link, enabled)
 
-        # Data plane: inverse FIB writes restore tries, the refcounted
-        # atom decomposition, and invalidate the touched action caches;
-        # ACL registrations replay inverted in reverse order.
+        # Data plane: inverse FIB writes restore tries and the
+        # refcounted atom decomposition, dropping the written routers'
+        # actions; ACL registrations replay inverted in reverse order.
+        # Then the saved actions go back on the atoms live again, before
+        # the ACL spans drop whatever a fork-time ACL decided.
+        dataplane = state.dataplane
         for (router, prefix), entry in self._fib.items():
-            state.dataplane.update_fib_entry(router, prefix, entry)
+            dataplane.update_fib_entry(router, prefix, entry, derive=False)
         for lo, hi, registered in reversed(self._acl_ops):
-            state.dataplane.acl_interval_structure(lo, hi, not registered)
+            dataplane.acl_interval_structure(lo, hi, not registered)
+        dataplane.restore_actions(self._actions)
         for lo, hi in self._acl_spans:
-            state.dataplane.invalidate_span(lo, hi)
+            dataplane.invalidate_span(lo, hi)
 
         # Reachability cache: drop everything computed during the fork
         # over the dirty region, then reinstate the pre-fork coverage.

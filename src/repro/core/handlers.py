@@ -333,9 +333,9 @@ def _handle_acl_rule(
     register = isinstance(edit, AddAclRule)
     dataplane = analyzer.state.dataplane
     for _ in range(bindings):
-        dataplane.acl_interval_structure(lo, hi, register)
+        created = dataplane.acl_interval_structure(lo, hi, register)
         if analyzer._journal is not None:
-            analyzer._journal.record_acl_structure(lo, hi, register)
+            analyzer._journal.record_acl_structure(lo, hi, register, created)
     dataplane.invalidate_span(lo, hi)
     if analyzer._journal is not None:
         analyzer._journal.record_acl_span(lo, hi)
@@ -362,9 +362,9 @@ def _handle_bind_acl(
             continue
         for rule in acl.rules:
             lo, hi = rule.dst.interval()
-            dataplane.acl_interval_structure(lo, hi, register)
+            created = dataplane.acl_interval_structure(lo, hi, register)
             if analyzer._journal is not None:
-                analyzer._journal.record_acl_structure(lo, hi, register)
+                analyzer._journal.record_acl_structure(lo, hi, register, created)
         for lo, hi in _nonpermit_spans(acl):
             dataplane.invalidate_span(lo, hi)
             if analyzer._journal is not None:

@@ -5,7 +5,8 @@
 Each is a :class:`Stage`: ``run`` reads the pass's merged
 :class:`~repro.core.pipeline.DirtySet`, changes converged state
 through the pass context :class:`Pass`, hands its delta to the next
-stage on ``ctx`` (RIB delta → FIB writes → dirty header space), and
+stage on ``ctx`` (RIB delta → FIB writes → dirty header space and
+action delta), and
 returns a :class:`StageWork` that the runner, not the stage, emits.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol, cast
 
+from repro.dataplane.forwarding import ActionDelta
 from repro.net.addr import Prefix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -51,9 +53,11 @@ class Pass:
 
     ``journal`` is None when the pass commits, ``attr`` unless the pass
     records provenance.  ``best_changed`` (the RIB delta, IGP/BGP →
-    FIB), ``spans`` (FIB-changed header space, FIB → reachability) and
-    ``igp_pairs``/``igp_sessions`` (IGP → BGP: the pre-write images of
-    :func:`~repro.core.stages.bgp.pre_image`) are the hand-offs.
+    FIB), ``spans`` (FIB-changed header space, FIB → reachability),
+    ``actions`` (the (router, atom) action delta of the FIB writes,
+    FIB → reachability) and ``igp_pairs``/``igp_sessions`` (IGP → BGP:
+    the pre-write images of :func:`~repro.core.stages.bgp.pre_image`)
+    are the hand-offs.
     """
 
     def __init__(
@@ -73,6 +77,7 @@ class Pass:
         )
         self.best_changed: BestChanged = {}
         self.spans: list[Span] = []
+        self.actions = ActionDelta()
         self.igp_pairs: dict[BgpPair, tuple[Fingerprint, set[Prefix]]] = {}
         self.igp_sessions: dict[BgpPair, bool] = {}
 

@@ -1,5 +1,6 @@
 """The FIB stage: rebuild the entries in ``ctx.best_changed`` whose
-best route or resolution moved, and collect the dirty header space."""
+best route or resolution moved, and collect the dirty header space and
+the (router, atom) actions the writes changed."""
 
 from __future__ import annotations
 
@@ -12,10 +13,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.pipeline import DirtySet
 
 NAME = "pipeline.fib"
-AXES: tuple[str, ...] = ()
+AXES: tuple[str, ...] = ("acl_spans",)
 
 def run(ctx: Pass, dirty: DirtySet) -> StageWork:
-    """Write the changed FIB entries; collect the dirty header space."""
+    """Write the changed FIB entries; collect the dirty header space
+    and the action delta."""
     state = ctx.state
     attr = ctx.attr
     report = ctx.report
@@ -34,9 +36,13 @@ def run(ctx: Pass, dirty: DirtySet) -> StageWork:
         report.record_fib(router, prefix, old_entry, new_entry, causes=causes)
         if ctx.journal is not None:
             ctx.journal.save_fib_entry(router, prefix, old_entry)
-        state.dataplane.update_fib_entry(router, prefix, new_entry)
+        delta = state.dataplane.update_fib_entry(router, prefix, new_entry)
+        if ctx.journal is not None:
+            ctx.journal.record_actions(delta)
+        ctx.actions.merge(delta)
         ctx.spans.append(prefix.interval())
     ctx.spans.extend(dirty.acl_spans)
+    ctx.actions.invalidated.extend(dirty.acl_spans)
     if attr is not None:
         # Invalidated header-space spans carry their origins onto the
         # provenance record — reachability segments overlapping them

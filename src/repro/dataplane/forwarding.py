@@ -17,7 +17,7 @@ the target but marks the action, and reports surface the ambiguity.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.config.acl import Acl, AclAction
 from repro.dataplane.atoms import Atom, AtomTable
@@ -53,14 +53,29 @@ class Action:
 
     targets: frozenset[Target]
     mixed: bool = False  # some ACL verdict depended on non-dst fields
+    # Neighbours on some forwarding leg: derived from ``targets``
+    # (outside __eq__/__hash__/__reduce__), read by every reachability
+    # update.
+    forward: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "forward",
+            frozenset(
+                t.neighbor
+                for t in self.targets
+                if t.kind is TargetKind.FORWARD and t.neighbor is not None
+            ),
+        )
+
+    def __reduce__(self) -> tuple:
+        # Pickle the fields only; the constructor re-derives ``forward``.
+        return (Action, (self.targets, self.mixed))
 
     def forward_neighbors(self) -> frozenset[str]:
         """Neighbours reachable on some ECMP leg."""
-        return frozenset(
-            t.neighbor
-            for t in self.targets
-            if t.kind is TargetKind.FORWARD and t.neighbor is not None
-        )
+        return self.forward
 
     def delivers(self) -> bool:
         """True if some leg delivers locally."""
@@ -79,6 +94,40 @@ class Action:
 
 NO_MATCH = Action(frozenset())
 
+ActionKey = tuple[str, Atom]
+
+
+@dataclass
+class ActionDelta:
+    """What FIB writes did to the per-(router, atom) action cache.
+
+    ``changed`` maps each pair whose action moved to its (first old,
+    last new) action; old is None when the pair was not cached.
+    ``created`` holds the atoms a cut-point change created.
+    ``invalidated`` holds header-space spans whose actions were
+    dropped wholesale (ACL verdict changes): no old action is known
+    there, so reachability rebuilds the atoms under them.
+    """
+
+    changed: dict[ActionKey, tuple[Action | None, Action]] = field(
+        default_factory=dict
+    )
+    created: set[Atom] = field(default_factory=set)
+    invalidated: list[tuple[int, int]] = field(default_factory=list)
+
+    def merge(self, other: "ActionDelta") -> None:
+        """Fold a later delta in, collapsing first old -> last new."""
+        for key, (old, new) in other.changed.items():
+            earlier = self.changed.get(key)
+            if earlier is not None:
+                old = earlier[0]
+            if old == new:
+                self.changed.pop(key, None)
+            else:
+                self.changed[key] = (old, new)
+        self.created |= other.created
+        self.invalidated.extend(other.invalidated)
+
 
 class DataPlane:
     """The atom-decomposed forwarding state of a whole snapshot."""
@@ -91,7 +140,20 @@ class DataPlane:
         # lazily; routers absent from an atom's map are recomputed on
         # demand.
         self._actions: dict[Atom, dict[str, Action]] = {}
+        # Equal actions share one object: most (router, atom) pairs
+        # repeat a handful of ECMP sets.  Not pickled (the pickle memo
+        # keeps the sharing); rebuilt as actions are derived.
+        self._interned: dict[tuple[frozenset[Target], bool], Action] = {}
         self._register_initial_intervals()
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_interned"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._interned = {}
 
     # -- construction -------------------------------------------------------
 
@@ -132,10 +194,14 @@ class DataPlane:
 
     def actions_for_atom(self, atom: Atom) -> dict[str, Action]:
         """Behaviour of every router for one atom."""
-        return {
-            router: self.action(router, atom)
-            for router in self.snapshot.topology.router_names()
-        }
+        per_atom = self._actions.setdefault(atom, {})
+        actions: dict[str, Action] = {}
+        for router in self.snapshot.topology.router_names():
+            action = per_atom.get(router)
+            if action is None:
+                action = per_atom[router] = self._compute_action(router, atom)
+            actions[router] = action
+        return actions
 
     def _acl_verdict(self, router: str, acl_name: str | None, atom: Atom) -> AclAction:
         """A bound ACL's verdict for the atom (PERMIT if unbound)."""
@@ -153,7 +219,12 @@ class DataPlane:
         fib = self.fibs.get(router)
         if fib is None:
             return NO_MATCH
-        entry = fib.lookup(atom.representative)
+        return self._entry_action(router, fib.lookup(atom.representative), atom)
+
+    def _entry_action(
+        self, router: str, entry: FibEntry | None, atom: Atom
+    ) -> Action:
+        """The action of ``router``'s longest match ``entry`` on ``atom``."""
         if entry is None:
             return NO_MATCH
         topology = self.snapshot.topology
@@ -199,7 +270,11 @@ class DataPlane:
                     interface=hop.interface,
                 )
             )
-        return Action(targets=frozenset(targets), mixed=mixed)
+        key = (frozenset(targets), mixed)
+        action = self._interned.get(key)
+        if action is None:
+            action = self._interned[key] = Action(*key)
+        return action
 
     # -- incremental maintenance ---------------------------------------------
 
@@ -212,8 +287,11 @@ class DataPlane:
 
         Sub-atoms of a split inherit the parent's cached actions (the
         parent was uniform, so any router whose FIB/ACLs did not change
-        behaves identically on the halves).  Merged atoms start cold.
-        Returns the set of structurally new atoms.
+        behaves identically on the halves).  A merged atom keeps each
+        action its sub-atoms agree on: with the cut point gone no FIB or
+        ACL boundary separates them, so only a router written right now
+        can differ, and its caller re-derives it.  Returns the set of
+        structurally new atoms.
         """
         structural: set[Atom] = set()
         for parent, subs in splits:
@@ -223,42 +301,80 @@ class DataPlane:
                 if inherited is not None:
                     self._actions[sub] = dict(inherited)
         for merged, subs in merges:
-            for sub in subs:
-                self._actions.pop(sub, None)
+            first, *rest = [self._actions.pop(sub, None) for sub in subs]
+            if first is not None and all(m is not None for m in rest):
+                self._actions[merged] = {
+                    router: action
+                    for router, action in first.items()
+                    if all(m.get(router) == action for m in rest)
+                }
             structural.add(merged)
         return structural
 
     def update_fib_entry(
-        self, router: str, prefix: Prefix, entry: FibEntry | None
-    ) -> set[Atom]:
-        """Install/replace/remove one FIB entry; returns dirty atoms.
+        self,
+        router: str,
+        prefix: Prefix,
+        entry: FibEntry | None,
+        derive: bool = True,
+    ) -> ActionDelta:
+        """Install/replace/remove one FIB entry; returns the action delta.
 
-        Dirty atoms are those whose forwarding graph may have changed:
-        atoms overlapping the prefix (the router's action there is
-        invalidated) plus atoms created or destroyed by cut-point
-        changes.
+        The router's action is re-derived, eagerly, on each atom under
+        ``prefix`` that the prefix decides there (its longest match is
+        ``prefix`` or, after a removal, shorter).  The delta holds the
+        pairs whose action changed and the atoms the cut-point change
+        created.  With ``derive`` off (rollback) those actions are
+        dropped instead, for the caller to reinstate or re-derive.
         """
         fib = self.fibs.setdefault(router, Fib(router))
         had = prefix in fib
+        delta = ActionDelta()
         if entry is None:
             if not had:
-                return set()
+                return delta
             fib.remove(prefix)
             merges = self.atom_table.unregister_prefix(prefix)
-            structural = self._apply_structure([], merges)
+            delta.created = self._apply_structure([], merges)
         else:
             fib.install(entry)
             splits: list[tuple[Atom, list[Atom]]] = []
             if not had:
                 splits = self.atom_table.register_prefix(prefix)
-            structural = self._apply_structure(splits, [])
+            delta.created = self._apply_structure(splits, [])
         lo, hi = prefix.interval()
-        dirty = set(self.atom_table.atoms_overlapping(lo, hi)) | structural
-        for atom in dirty:
-            per_atom = self._actions.get(atom)
-            if per_atom is not None:
-                per_atom.pop(router, None)
-        return dirty
+        for atom in self.atom_table.atoms_overlapping(lo, hi):
+            match = fib.lookup(atom.representative)
+            if match is not None and match.prefix.length > prefix.length:
+                continue  # a longer prefix decides this atom here
+            if not derive:
+                per_atom = self._actions.get(atom)
+                if per_atom is not None:
+                    per_atom.pop(router, None)
+                continue
+            per_atom = self._actions.setdefault(atom, {})
+            old = per_atom.get(router)
+            new = per_atom[router] = self._entry_action(router, match, atom)
+            if old != new:
+                delta.changed[(router, atom)] = (old, new)
+        return delta
+
+    def restore_actions(self, saved: dict[ActionKey, Action | None]) -> None:
+        """Reinstate saved actions on the atoms that are live again
+        (None drops the pair, which is then re-derived on demand)."""
+        by_atom: dict[Atom, list[tuple[str, Action | None]]] = {}
+        for (router, atom), action in saved.items():
+            by_atom.setdefault(atom, []).append((router, action))
+        atom_table = self.atom_table
+        for atom, pairs in by_atom.items():
+            if atom_table.atom_containing(atom.lo) != atom:
+                continue
+            per_atom = self._actions.setdefault(atom, {})
+            for router, action in pairs:
+                if action is None:
+                    per_atom.pop(router, None)
+                else:
+                    per_atom[router] = action
 
     def acl_interval_structure(
         self, lo: int, hi: int, register: bool
@@ -290,11 +406,6 @@ class DataPlane:
         for atom in dirty:
             self._actions.pop(atom, None)
         return dirty
-
-    def invalidate_router(self, router: str) -> None:
-        """Forget every cached action of one router (config rewired)."""
-        for per_atom in self._actions.values():
-            per_atom.pop(router, None)
 
     def stats(self) -> dict[str, int]:
         """Counters for reports and benchmarks."""

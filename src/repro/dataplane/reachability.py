@@ -10,17 +10,20 @@ For one atom, the data plane induces a directed graph over routers
   or self-loops of the forward graph).
 - **Blackholes**: routers with no matching FIB entry for the atom.
 
-:class:`ReachabilityIndex` caches per-atom results and exposes
-invalidation hooks for the incremental layer.
+:func:`update_atom_reachability` moves a cached result along the
+routers whose actions changed, without a rebuild, where that is exact.
+:class:`ReachabilityIndex` caches per-atom results, sorted by atom, and
+exposes the interval queries the incremental layer needs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from repro.dataplane.atoms import Atom
-from repro.dataplane.forwarding import DataPlane
+from repro.dataplane.forwarding import Action, DataPlane
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,7 @@ def compute_atom_reachability(dataplane: DataPlane, atom: Atom) -> AtomReachabil
     blackholes: set[str] = set()
     mixed: set[str] = set()
     for router, action in actions.items():
-        forward[router] = action.forward_neighbors()
+        forward[router] = action.forward
         if action.delivers():
             owners.add(router)
         if action.is_blackhole():
@@ -91,6 +94,116 @@ def compute_atom_reachability(dataplane: DataPlane, atom: Atom) -> AtomReachabil
         blackhole_routers=frozenset(blackholes),
         mixed_routers=frozenset(mixed),
     )
+
+
+def update_atom_reachability(
+    dataplane: DataPlane,
+    atom: Atom,
+    base: AtomReachability,
+    changed: set[str],
+) -> AtomReachability | None:
+    """``base`` moved to the atom's current actions, or None.
+
+    ``base`` is the result for a forwarding graph that differs from the
+    current one only in the out-edges of routers in ``changed`` (a
+    superset is fine).  Per owner, a router leaves the source set when
+    none of its successors is left in it — the retraction spreads to
+    predecessors only when that support count drops to zero — and
+    routers that gained a successor in the set join it together with
+    everything upstream of them.  Counting support is exact only on an
+    acyclic graph, so this returns None (the caller rebuilds) when the
+    old graph had loops, when a changed router now sits on a cycle, or
+    when the owner set moved.
+    """
+    if base.loop_routers:
+        return None
+    actions = dataplane.actions_for_atom(atom)
+    changed = changed & actions.keys()
+    owners = set(base.owners)
+    blackholes = set(base.blackhole_routers)
+    mixed = set(base.mixed_routers)
+    for router in changed:
+        action = actions[router]
+        for members, member in (
+            (owners, action.delivers()),
+            (blackholes, action.is_blackhole()),
+            (mixed, action.mixed),
+        ):
+            if member:
+                members.add(router)
+            else:
+                members.discard(router)
+    if owners != base.owners or _on_cycle(actions, changed):
+        return None
+
+    reverse: dict[str, list[str]] = {}
+
+    def predecessors(node: str) -> list[str]:
+        if not reverse:
+            for router in actions:
+                reverse[router] = []
+            for router, action in actions.items():
+                for neighbor in action.forward:
+                    if neighbor in reverse:
+                        reverse[neighbor].append(router)
+        return reverse[node]
+
+    sources: dict[str, frozenset[str]] = {}
+    for owner, old_sources in base.sources.items():
+        reach = set(old_sources)
+        stack = [r for r in changed if r in reach and r != owner]
+        while stack:
+            node = stack.pop()
+            if node not in reach or node == owner:
+                continue
+            if not actions[node].forward.isdisjoint(reach):
+                continue  # still supported
+            reach.discard(node)
+            stack.extend(p for p in predecessors(node) if p in reach)
+        stack = [
+            r
+            for r in changed
+            if r not in reach and not actions[r].forward.isdisjoint(reach)
+        ]
+        reach.update(stack)
+        while stack:
+            for predecessor in predecessors(stack.pop()):
+                if predecessor not in reach:
+                    reach.add(predecessor)
+                    stack.append(predecessor)
+        sources[owner] = old_sources if reach == old_sources else frozenset(reach)
+    return AtomReachability(
+        atom=atom,
+        owners=base.owners,
+        sources=sources,
+        loop_routers=base.loop_routers,
+        blackhole_routers=frozenset(blackholes),
+        mixed_routers=frozenset(mixed),
+    )
+
+
+def _on_cycle(actions: dict[str, Action], starts: Iterable[str]) -> bool:
+    """True if a forwarding cycle is reachable from ``starts``."""
+    done: set[str] = set()
+    for start in starts:
+        if start in done:
+            continue
+        path = {start}
+        work = [(start, iter(actions[start].forward))]
+        while work:
+            node, edges = work[-1]
+            for succ in edges:
+                if succ in path:
+                    return True
+                if succ in actions and succ not in done:
+                    path.add(succ)
+                    work.append((succ, iter(actions[succ].forward)))
+                    break
+            else:
+                work.pop()
+                path.discard(node)
+                done.add(node)
+    return False
 
 
 def _cycle_routers(forward: dict[str, frozenset[str]]) -> frozenset[str]:
@@ -148,18 +261,50 @@ def _cycle_routers(forward: dict[str, frozenset[str]]) -> frozenset[str]:
 
 
 class ReachabilityIndex:
-    """Cached per-atom reachability over a :class:`DataPlane`."""
+    """Cached per-atom reachability over a :class:`DataPlane`.
+
+    Entries are disjoint and kept sorted by ``atom.lo``, so interval
+    queries bisect instead of scanning the cache.  An entry may be keyed
+    by a *stale* atom (one a behaviour-neutral split has since cut);
+    it then stands for every live atom inside it.
+    """
 
     def __init__(self, dataplane: DataPlane) -> None:
         self.dataplane = dataplane
-        self._cache: dict[Atom, AtomReachability] = {}
+        self._entries: list[AtomReachability] = []
+        self._los: list[int] = []  # entry.atom.lo, same order
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_los"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._los = [reach.atom.lo for reach in self._entries]
+
+    def _find(self, atom: Atom) -> AtomReachability | None:
+        index = bisect_left(self._los, atom.lo)
+        if index < len(self._los) and self._entries[index].atom == atom:
+            return self._entries[index]
+        return None
+
+    def _range(self, lo: int, hi: int) -> tuple[int, int]:
+        """Index range of the entries overlapping ``[lo, hi)``."""
+        start = bisect_right(self._los, lo) - 1
+        if start < 0 or self._entries[start].atom.hi <= lo:
+            start += 1
+        return start, max(start, bisect_left(self._los, hi))
 
     def for_atom(self, atom: Atom) -> AtomReachability:
-        """Reachability of one atom (cached)."""
-        cached = self._cache.get(atom)
+        """Reachability of one live atom (cached where it fits)."""
+        cached = self._find(atom)
         if cached is None:
             cached = compute_atom_reachability(self.dataplane, atom)
-            self._cache[atom] = cached
+            start, end = self._range(atom.lo, atom.hi)
+            if start == end:  # never shadow a stale entry's coverage
+                self._entries.insert(start, cached)
+                self._los.insert(start, atom.lo)
         return cached
 
     def compute_all(self) -> dict[Atom, AtomReachability]:
@@ -168,24 +313,20 @@ class ReachabilityIndex:
             atom: self.for_atom(atom) for atom in self.dataplane.atom_table.atoms()
         }
 
-    def invalidate(self, atoms: Iterable[Atom]) -> None:
-        """Drop cached results for dirty atoms."""
-        for atom in atoms:
-            self._cache.pop(atom, None)
-
     def restore(self, entries: Iterable[AtomReachability]) -> None:
-        """Reinstate previously captured results keyed by their atoms.
+        """Insert results into a purged region, keyed by their atoms.
 
-        Used by fork rollback: the atom table has been restored to the
-        structure the entries were computed against, so reinserting
-        them rebuilds the pre-fork coverage without recomputation.
+        Used by the reach stage and by fork rollback: the region the
+        entries cover holds no other entry.
         """
         for reach in entries:
-            self._cache[reach.atom] = reach
+            index = bisect_left(self._los, reach.atom.lo)
+            self._entries.insert(index, reach)
+            self._los.insert(index, reach.atom.lo)
 
     def cached_atoms(self) -> set[Atom]:
         """Atoms currently analysed."""
-        return set(self._cache)
+        return {reach.atom for reach in self._entries}
 
     def entries_overlapping(
         self, spans: Iterable[tuple[int, int]]
@@ -196,26 +337,23 @@ class ReachabilityIndex:
         that is exactly what the incremental differ needs: the
         pre-change behaviour of the dirty region.
         """
-        span_list = [s for s in spans if s[0] < s[1]]
-        results = []
-        for atom, reach in self._cache.items():
-            for lo, hi in span_list:
-                if atom.lo < hi and lo < atom.hi:
-                    results.append((atom.lo, atom.hi, reach))
-                    break
-        return results
+        indices: set[int] = set()
+        for lo, hi in spans:
+            if lo < hi:
+                indices.update(range(*self._range(lo, hi)))
+        return [
+            (reach.atom.lo, reach.atom.hi, reach)
+            for reach in (self._entries[i] for i in sorted(indices))
+        ]
 
     def purge_overlapping(self, spans: Iterable[tuple[int, int]]) -> None:
         """Drop every cached result overlapping any of ``spans``
         (including stale keys left behind by splits/merges)."""
-        span_list = [s for s in spans if s[0] < s[1]]
-        stale = [
-            atom
-            for atom in self._cache
-            if any(atom.lo < hi and lo < atom.hi for lo, hi in span_list)
-        ]
-        for atom in stale:
-            del self._cache[atom]
+        for lo, hi in spans:
+            if lo < hi:
+                start, end = self._range(lo, hi)
+                del self._entries[start:end]
+                del self._los[start:end]
 
     def reaches(self, source: str, owner: str, address: int) -> bool:
         """Point query: can ``source`` reach ``owner`` for ``address``?"""

@@ -58,6 +58,7 @@ ANALYZER_PARAMS = {"analyzer", "ctx"}
 EXEMPT = {"__init__", "__post_init__"}
 
 Path_ = tuple[str, ...]
+Guards = tuple[tuple[str, bool], ...]
 
 # Protected analyzer-state attributes -> the journal method that must
 # capture the before-image *before* the mutation.
@@ -74,16 +75,21 @@ STATE_GUARDS: dict[str, str] = {
     "_origins": "save_origins",
 }
 
-# (structure, method) -> (journal method, must_precede).  Append-log
-# journal entries (``record_*``) may be written after the mutation —
-# the journal replays them, it does not restore a before-image.
-METHOD_GUARDS: dict[tuple[str, str], tuple[str, bool]] = {
-    ("dataplane", "update_fib_entry"): ("save_fib_entry", True),
-    ("dataplane", "acl_interval_structure"): ("record_acl_structure", False),
-    ("dataplane", "invalidate_span"): ("record_acl_span", False),
-    ("igp", "set_route"): ("save_igp_route", True),
-    ("reachability", "purge_overlapping"): ("record_reachability", False),
-    ("reachability", "restore"): ("record_reachability", False),
+# (structure, method) -> ((journal method, must_precede), ...).
+# Append-log journal entries (``record_*``) may be written after the
+# mutation — the journal replays them or reads the before-images the
+# mutator returns, it does not capture one first.  A FIB write needs
+# both: the old entry before, and the action delta it returns after.
+METHOD_GUARDS: dict[tuple[str, str], tuple[tuple[str, bool], ...]] = {
+    ("dataplane", "update_fib_entry"): (
+        ("save_fib_entry", True),
+        ("record_actions", False),
+    ),
+    ("dataplane", "acl_interval_structure"): (("record_acl_structure", False),),
+    ("dataplane", "invalidate_span"): (("record_acl_span", False),),
+    ("igp", "set_route"): (("save_igp_route", True),),
+    ("reachability", "purge_overlapping"): (("record_reachability", False),),
+    ("reachability", "restore"): (("record_reachability", False),),
 }
 
 # Methods that mutate a protected container in place.
@@ -221,9 +227,9 @@ class _FunctionAnalysis:
 
     # -- mutation detection -------------------------------------------------
 
-    def mutations(self) -> list[tuple[int, str, str, bool]]:
-        """Every protected mutation: (line, what, journal method, precede)."""
-        found: list[tuple[int, str, str, bool]] = []
+    def mutations(self) -> list[tuple[int, str, Guards]]:
+        """Every protected mutation: (line, what, its journal guards)."""
+        found: list[tuple[int, str, Guards]] = []
         for node in ast.walk(self.info.node):
             if isinstance(node, (ast.Assign, ast.AugAssign)):
                 targets = (
@@ -253,46 +259,33 @@ class _FunctionAnalysis:
                     break
         return keys
 
-    def _target_mutation(
-        self, target: ast.AST
-    ) -> list[tuple[int, str, str, bool]]:
-        out: list[tuple[int, str, str, bool]] = []
+    def _target_mutation(self, target: ast.AST) -> list[tuple[int, str, Guards]]:
+        out: list[tuple[int, str, Guards]] = []
         if isinstance(target, ast.Attribute):
             guard = STATE_GUARDS.get(target.attr)
             if guard is not None and self.resolve(target.value):
                 out.append(
-                    (target.lineno, f"write to .{target.attr}", guard, True)
+                    (target.lineno, f"write to .{target.attr}", ((guard, True),))
                 )
         elif isinstance(target, ast.Subscript):
             for key in self._governing(self.resolve(target.value)):
                 guard = STATE_GUARDS.get(key)
                 if guard is not None:
                     out.append(
-                        (target.lineno, f"item write on .{key}", guard, True)
+                        (target.lineno, f"item write on .{key}", ((guard, True),))
                     )
         return out
 
-    def _call_mutation(
-        self, node: ast.Call
-    ) -> list[tuple[int, str, str, bool]]:
+    def _call_mutation(self, node: ast.Call) -> list[tuple[int, str, Guards]]:
         assert isinstance(node.func, ast.Attribute)
         method = node.func.attr
-        out: list[tuple[int, str, str, bool]] = []
+        out: list[tuple[int, str, Guards]] = []
         for key in self._governing(self.resolve(node.func.value)):
+            what = f".{key}.{method}()"
             if (key, method) in METHOD_GUARDS:
-                guard, precede = METHOD_GUARDS[(key, method)]
-                out.append(
-                    (node.lineno, f".{key}.{method}()", guard, precede)
-                )
+                out.append((node.lineno, what, METHOD_GUARDS[(key, method)]))
             elif key in STATE_GUARDS and method in CONTAINER_MUTATORS:
-                out.append(
-                    (
-                        node.lineno,
-                        f".{key}.{method}()",
-                        STATE_GUARDS[key],
-                        True,
-                    )
-                )
+                out.append((node.lineno, what, ((STATE_GUARDS[key], True),)))
         return out
 
 
@@ -317,13 +310,18 @@ def check_fork_safety(project: Project) -> list[Finding]:
             if not mutations:
                 continue
             journal = analysis.journal_lines()
-            for line, what, guard, precede in sorted(mutations):
-                guard_line = journal.get(guard)
-                ok = guard_line is not None and (
-                    not precede or guard_line <= line
-                )
-                if ok or context.suppressed("J1", line):
+            for line, what, guards in sorted(mutations):
+                if context.suppressed("J1", line):
                     continue
+                missing = [
+                    (guard, precede)
+                    for guard, precede in guards
+                    if journal.get(guard) is None
+                    or (precede and journal[guard] > line)
+                ]
+                if not missing:
+                    continue
+                guard, precede = missing[0]
                 how = (
                     "preceded by" if precede else "paired with"
                 )

@@ -178,11 +178,12 @@ class TestIncrementalMaintenance:
         entry = FibEntry(
             prefix, frozenset({NextHop(interface="eth1", neighbor="r1")})
         )
-        dirty = state.dataplane.update_fib_entry("r0", prefix, entry)
+        delta = state.dataplane.update_fib_entry("r0", prefix, entry)
         lo, hi = prefix.interval()
-        assert any(a.lo == lo and a.hi == hi for a in dirty)
+        assert any(a.lo == lo and a.hi == hi for a in delta.created)
         atom = state.dataplane.atom_table.atom_containing(lo)
         assert state.dataplane.action("r0", atom).forward_neighbors() == {"r1"}
+        assert delta.changed[("r0", atom)][1] == state.dataplane.action("r0", atom)
 
     def test_split_inherits_parent_actions(self, line_state):
         scenario, state = line_state
@@ -219,7 +220,7 @@ class TestIncrementalMaintenance:
 
     def test_remove_missing_entry_noop(self, line_state):
         _scenario, state = line_state
-        dirty = state.dataplane.update_fib_entry(
+        delta = state.dataplane.update_fib_entry(
             "r0", Prefix("198.51.100.0/24"), None
         )
-        assert dirty == set()
+        assert not delta.changed and not delta.created

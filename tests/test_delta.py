@@ -1,9 +1,15 @@
 """Delta report: churn collapsing and reachability canonicalization."""
 
+import random
+from bisect import bisect_right
+
+import pytest
+
 from repro.controlplane.rib import NextHop, Route
 from repro.core.delta import (
     DeltaReport,
     ReachSegment,
+    _segment_between,
     coalesce_segments,
     diff_reach_coverage,
 )
@@ -116,6 +122,65 @@ class TestReachDiff:
             ReachSegment(10, 20, removed=frozenset({("a", "b")})),
         ]
         assert len(coalesce_segments(segments)) == 2
+
+
+def _reference_diff(before, after):
+    """The straightforward coverage diff: every elementary interval
+    rebuilds its lookup keys and diffs both sides in full."""
+    points = sorted({p for lo, hi, _ in (*before, *after) for p in (lo, hi)})
+
+    def coverage_at(pieces, lo):
+        pieces = sorted(pieces, key=lambda p: p[0])
+        los = [p[0] for p in pieces]
+        index = bisect_right(los, lo) - 1
+        if index >= 0 and pieces[index][0] <= lo < pieces[index][1]:
+            return pieces[index][2]
+        return None
+
+    segments = []
+    for lo, hi in zip(points, points[1:]):
+        piece_before = coverage_at(before, lo)
+        piece_after = coverage_at(after, lo)
+        if piece_before is None or piece_after is None:
+            continue
+        segment = _segment_between(lo, hi, piece_before, piece_after)
+        if not segment.is_empty():
+            segments.append(segment)
+    return coalesce_segments(segments)
+
+
+def _random_covering(rng: random.Random, span: int, payloads: list):
+    """Disjoint pieces over ``[0, span)`` with random gaps and payloads."""
+    cuts = sorted(rng.sample(range(1, span), rng.randint(0, 12)))
+    pieces = []
+    for lo, hi in zip([0, *cuts], [*cuts, span]):
+        if rng.random() < 0.15:
+            continue  # an uncovered gap
+        pieces.append((lo, hi, rng.choice(payloads)))
+    rng.shuffle(pieces)  # callers need not sort
+    return pieces
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_coverage_diff_matches_reference_on_random_coverings(seed):
+    rng = random.Random(seed)
+    routers = "abcd"
+    payloads = [
+        reach(
+            0,
+            1,
+            {(s, o) for s in routers for o in routers if rng.random() < 0.3},
+            loops={r for r in routers if rng.random() < 0.2},
+            blackholes={r for r in routers if rng.random() < 0.2},
+        )
+        for _ in range(5)
+    ]
+    before = _random_covering(rng, 64, payloads)
+    after = _random_covering(rng, 64, payloads)
+    expected = _reference_diff(before, after)
+    assert expected  # the draws do change behaviour somewhere
+    assert diff_reach_coverage(before, after) == expected
+    assert diff_reach_coverage(before, before) == []
 
 
 class TestSignature:

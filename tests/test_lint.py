@@ -148,6 +148,26 @@ class TestForkSafety:
         assert "save_rib_prefix" in findings[0].message
         assert "save_fib_entry" in findings[1].message
 
+    def test_fib_write_needs_its_action_delta_recorded(self, tmp_path):
+        # A FIB write changes (router, atom) actions: its before-image
+        # entry precedes it and the action delta it returns follows it.
+        unrecorded = """
+            def run(ctx, dirty):
+                ctx.journal.save_fib_entry("r1", dirty.prefix, None)
+                ctx.state.dataplane.update_fib_entry("r1", dirty.prefix, None)
+        """
+        root = make_project(tmp_path / "a", {"repro/core/stages/fib.py": unrecorded})
+        findings = run_rule("J1", root)
+        assert len(findings) == 1
+        assert "record_actions" in findings[0].message
+        recorded = unrecorded.replace(
+            'ctx.state.dataplane.update_fib_entry("r1", dirty.prefix, None)',
+            'delta = ctx.state.dataplane.update_fib_entry("r1", dirty.prefix, None)\n'
+            "                ctx.journal.record_actions(delta)",
+        )
+        root = make_project(tmp_path / "b", {"repro/core/stages/fib.py": recorded})
+        assert run_rule("J1", root) == []
+
     def test_out_of_scope_module_ignored(self, tmp_path):
         # Initial convergence / query code builds raw state before any
         # fork can exist; only the analyzer orbit is in contract.

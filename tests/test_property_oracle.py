@@ -9,7 +9,7 @@ this repository has.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from repro.core.analyzer import DifferentialNetworkAnalyzer
 from repro.core.change import Change
@@ -86,10 +86,13 @@ def small_wan() -> Scenario:
     return internet2_bgp(customers_per_pop=1, prefixes_per_customer=1)
 
 
+# No shrink phase: a failing draw took minutes to shrink, and with
+# ``derandomize`` the same draw already fails on every run.
 @settings(
     max_examples=8,
     deadline=None,
     derandomize=True,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(
