@@ -17,7 +17,7 @@ Two evaluation views are provided:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.net.addr import Prefix
@@ -148,10 +148,6 @@ class Acl:
                 return interval_set
         return IntervalSet.empty()
 
-    def cut_sets(self) -> list[IntervalSet]:
-        """Destination interval sets contributing atom cut points."""
-        return [rule.dst_intervals() for rule in self.rules]
-
     def clone(self) -> "Acl":
         """An independent copy (rules are immutable and shared)."""
         return Acl(self.name, list(self.rules))
@@ -159,8 +155,3 @@ class Acl:
     def __str__(self) -> str:
         body = "; ".join(str(rule) for rule in self.rules)
         return f"acl {self.name} [{body}]"
-
-
-def replace_rule_action(rule: AclRule, action: AclAction) -> AclRule:
-    """A copy of ``rule`` with a different action."""
-    return replace(rule, action=action)

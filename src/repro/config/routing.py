@@ -75,14 +75,6 @@ class OspfConfig:
 
     interfaces: dict[str, OspfInterfaceSettings] = field(default_factory=dict)
 
-    def enabled_interfaces(self) -> list[str]:
-        """Names of interfaces actively running OSPF."""
-        return [
-            name
-            for name, settings in self.interfaces.items()
-            if settings.enabled
-        ]
-
     def clone(self) -> "OspfConfig":
         return OspfConfig(
             {name: settings.clone() for name, settings in self.interfaces.items()}
@@ -135,10 +127,6 @@ class BgpConfig:
         if peer_ip not in self.neighbors:
             raise ValueError(f"no BGP neighbor {peer_ip}")
         del self.neighbors[peer_ip]
-
-    def is_ebgp(self, peer_ip: IPv4Address) -> bool:
-        """True if the session with ``peer_ip`` crosses AS boundaries."""
-        return self.neighbors[peer_ip].remote_asn != self.asn
 
     def clone(self) -> "BgpConfig":
         return BgpConfig(

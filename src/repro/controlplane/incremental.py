@@ -159,7 +159,27 @@ class OspfIncremental:
                         # Same cost, different physical attachments:
                         # distances hold, first hops from x change.
                         self._attachments_changed(area, x, dirty)
+            self._prune(area, u)
+            self._prune(area, w)
         return dirty
+
+    def _prune(self, area: int, router: str) -> None:
+        """Drop ``router``'s node from ``area`` once it is neither a
+        member there nor an edge end, and the area once it is empty.
+
+        Leaving takes both a membership and an edge update, which
+        handlers run in either order; whichever runs second prunes.
+        """
+        if area in self.ospf.membership.get(router, ()):
+            return
+        graph = self.ospf.graphs.get(area)
+        if graph is None or router not in graph.adjacency:
+            return
+        if graph.successors(router) or graph.predecessors(router):
+            return
+        graph.remove_node(router)
+        if not graph.adjacency:
+            del self.ospf.graphs[area]
 
     def _sources_in(self, area: int):
         for (router, spf_area), spf in self.ospf.spf.items():
@@ -227,11 +247,15 @@ class OspfIncremental:
             if wanted:
                 self.ospf.advertised.setdefault(area, {})[router] = wanted
             else:
-                self.ospf.advertised.get(area, {}).pop(router, None)
+                owners = self.ospf.advertised.get(area, {})
+                owners.pop(router, None)
+                if not owners:
+                    self.ospf.advertised.pop(area, None)
 
         # A router joining (or leaving) an area may have no SPF tree for
         # the edge updates to dirty: its whole route set is refreshed.
-        for area in desired_membership ^ self.ospf.membership.get(router, set()):
+        current = self.ospf.membership.get(router, set())
+        for area in desired_membership ^ current:
             dirty.add_full((router, area))
         if desired_membership:
             self.ospf.membership[router] = desired_membership
@@ -241,4 +265,9 @@ class OspfIncremental:
             if area not in self.ospf.graphs:
                 self.ospf.graphs[area] = SpfGraph()
             self.ospf.graphs[area].add_node(router)
+        for area in desired_membership - current:
+            self.ospf.spf_for(router, area)
+        for area in current - desired_membership:
+            self.ospf.spf.pop((router, area), None)
+            self._prune(area, router)
         return dirty

@@ -160,23 +160,6 @@ class DynamicSpf:
         self._invalidate_caches()
         self._children = None
 
-    def clone(self, graph: SpfGraph) -> "DynamicSpf":
-        """An independent copy of the settled tree over ``graph``.
-
-        ``graph`` must be a structural copy of this instance's graph
-        (the caller clones graphs once per area and threads them in so
-        all sources of an area keep sharing one graph object).  Caches
-        start cold; they are recomputed on demand.
-        """
-        duplicate = object.__new__(DynamicSpf)
-        duplicate.graph = graph
-        duplicate.source = self.source
-        duplicate.dist = dict(self.dist)
-        duplicate.parents = {node: set(p) for node, p in self.parents.items()}
-        duplicate._fh = None
-        duplicate._children = None
-        return duplicate
-
     # -- internals -----------------------------------------------------------
 
     def _invalidate_caches(self) -> None:

@@ -81,28 +81,6 @@ class OspfState:
             self.spf[key] = instance
         return instance
 
-    def clone(self) -> "OspfState":
-        """An independent structural copy (the fork checkpoint).
-
-        Graphs are copied once per area and every cloned SPF instance
-        is rewired onto its area's copy, preserving the aliasing the
-        incremental layer relies on.  Route/NextHop/Prefix values are
-        shared — they are immutable.
-        """
-        graphs = {area: graph.copy() for area, graph in self.graphs.items()}
-        return OspfState(
-            graphs=graphs,
-            advertised={
-                area: {router: dict(costs) for router, costs in owners.items()}
-                for area, owners in self.advertised.items()
-            },
-            membership={router: set(a) for router, a in self.membership.items()},
-            spf={
-                (router, area): spf.clone(graphs[area])
-                for (router, area), spf in self.spf.items()
-            },
-        )
-
 
 def _interface_participates(snapshot, router: str, interface_name: str) -> bool:
     """True if the interface is administratively and physically up."""
@@ -175,6 +153,26 @@ def build_ospf_state(snapshot) -> OspfState:
     for (area, local, peer), (cost, hops) in best.items():
         state.graphs[area].set_edge(local, peer, cost, frozenset(hops))
     return state
+
+
+def ospf_inputs(config) -> dict[str, tuple]:
+    """What OSPF derivation reads of one router's config, per interface
+    that differs from the default (no OSPF, administratively up): its
+    OSPF settings and admin state.
+
+    Equal inputs derive equal OSPF state, so a config write that keeps
+    them (a static route, an ACL, BGP policy) moves no OSPF key.
+    """
+    if config is None:
+        return {}
+    ospf = config.ospf.interfaces if config.ospf is not None else {}
+    names = set(ospf) | {
+        name for name, settings in config.interfaces.items() if not settings.enabled
+    }
+    return {
+        name: (ospf.get(name), config.interface_config(name).enabled)
+        for name in names
+    }
 
 
 def _active_ospf_settings(snapshot, router: str, interface_name: str):

@@ -9,7 +9,7 @@ hops rather than by duplicate routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 from repro.config.routemap import AttributeBundle
@@ -162,34 +162,3 @@ class Rib:
             best = self.best(prefix)
             lines.append(f"  {best}")
         return "\n".join(lines)
-
-
-@dataclass
-class RibDelta:
-    """Best-route changes of one router, as (before, after) pairs."""
-
-    router: str
-    changed: dict[Prefix, tuple[Route | None, Route | None]] = field(
-        default_factory=dict
-    )
-
-    def record(self, prefix: Prefix, before: Route | None, after: Route | None) -> None:
-        """Note a best-route transition (collapsing no-ops)."""
-        if before == after:
-            self.changed.pop(prefix, None)
-            return
-        existing = self.changed.get(prefix)
-        if existing is not None:
-            original = existing[0]
-            if original == after:
-                del self.changed[prefix]
-            else:
-                self.changed[prefix] = (original, after)
-        else:
-            self.changed[prefix] = (before, after)
-
-    def is_empty(self) -> bool:
-        return not self.changed
-
-    def __len__(self) -> int:
-        return len(self.changed)

@@ -58,6 +58,12 @@ class SpfGraph:
             self.attachments.pop((u, v), None)
             self._reverse[v].discard(u)
 
+    def remove_node(self, node: str) -> None:
+        """Delete a node that has no edges left."""
+        assert not self.adjacency.get(node) and not self._reverse.get(node)
+        self.adjacency.pop(node, None)
+        self._reverse.pop(node, None)
+
     def cost(self, u: str, v: str) -> float:
         """Edge cost or infinity."""
         return self.adjacency.get(u, {}).get(v, INFINITY)
@@ -77,15 +83,6 @@ class SpfGraph:
     def num_edges(self) -> int:
         """Logical edge count."""
         return sum(len(out) for out in self.adjacency.values())
-
-    def copy(self) -> "SpfGraph":
-        """An independent structural copy."""
-        duplicate = SpfGraph()
-        for u, out in self.adjacency.items():
-            duplicate.add_node(u)
-            for v, cost in out.items():
-                duplicate.set_edge(u, v, cost, self.attachments[(u, v)])
-        return duplicate
 
 
 def dijkstra(

@@ -500,18 +500,6 @@ class BindAcl(Edit):
         )
 
 
-# Edits whose application can reach the incremental OSPF state (the
-# fork journal checkpoints it before any of these applies).
-OSPF_TOUCHING_EDITS = (
-    LinkDown,  # covers LinkUp (subclass)
-    ShutdownInterface,
-    EnableInterface,
-    SetOspfCost,
-    EnableOspfInterface,
-    DisableOspfInterface,
-)
-
-
 # -- batches --------------------------------------------------------------------
 
 

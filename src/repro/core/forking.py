@@ -9,9 +9,11 @@ a fork is active, every mutation site in the analyzer records the
 granularity it is touched —
 
 - snapshot: per-router config clones and per-link enabled flags;
-- OSPF: one copy-on-first-touch checkpoint of the incremental SPF
-  state (graphs, settled trees, advertisements), taken only when an
-  edit actually reaches OSPF;
+- OSPF: nothing of its own.  It is a function of the snapshot, so
+  rollback re-derives it at the touched keys — the ends and pair of
+  each link whose flag goes back, and each saved router whose OSPF
+  inputs go back, with the peer and pair over each interface whose
+  inputs do — once the snapshot is restored;
 - RIBs: the per-prefix protocol map of each (router, prefix) written;
 - per-router caches: OSPF/connected/static route maps, saved by
   reference or copy;
@@ -22,9 +24,10 @@ granularity it is touched —
   inverse ``update_fib_entry``, which also restores the refcounted
   atom decomposition exactly;
 - per-(router, atom) actions: the first before-image of each changed
-  pair on an atom live since the fork began — rollback reinstates
-  them on the atoms that are live again, so the next request does not
-  re-derive them;
+  pair, and of each FIB writer's action on an atom its cut-point
+  change removed, on an atom live since the fork began — rollback
+  reinstates them on the atoms that are live again, so the next
+  request does not re-derive them;
 - ACL interval registrations, replayed inverted in reverse order;
 - reachability: the pre-change cache entries of the purged region,
   reinserted after the atom structure is back.
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
+from repro.controlplane.ospf import ospf_inputs
 from repro.controlplane.rib import Route
 from repro.dataplane.atoms import Atom
 from repro.dataplane.fib import FibEntry
@@ -66,7 +70,6 @@ class UndoJournal:
         self.analyzer = analyzer
         self._configs: dict[str, object] = {}  # router -> clone | _MISSING
         self._link_flags: dict = {}  # Link -> bool
-        self._ospf_checkpoint = None  # OspfState copy, on first OSPF touch
         self._backbone = _UNSET  # (adverts, totals) refs
         self._ospf_routes: dict[str, object] = {}  # source -> copy | _MISSING
         self._route_caches: dict[tuple[str, str], object] = {}
@@ -91,7 +94,7 @@ class UndoJournal:
 
     def before_edit(self, edit: "Edit") -> None:
         """Capture whatever applying ``edit`` may overwrite."""
-        from repro.core.change import LinkDown, LinkUp, OSPF_TOUCHING_EDITS
+        from repro.core.change import LinkDown, LinkUp
 
         snapshot = self.analyzer.snapshot
         if isinstance(edit, (LinkDown, LinkUp)):
@@ -107,8 +110,6 @@ class UndoJournal:
                 self._configs[router] = (
                     config.clone() if config is not None else _MISSING
                 )
-        if isinstance(edit, OSPF_TOUCHING_EDITS) and self._ospf_checkpoint is None:
-            self._ospf_checkpoint = self.analyzer.state.ospf_state.clone()
 
     def save_backbone(self) -> None:
         if self._backbone is _UNSET:
@@ -169,6 +170,9 @@ class UndoJournal:
         for key, (old, _new) in delta.changed.items():
             if key[1] not in self._created:
                 self._actions.setdefault(key, old)
+        for key, old in delta.retired.items():
+            if key[1] not in self._created:
+                self._actions.setdefault(key, old)
 
     def record_acl_structure(
         self, lo: int, hi: int, register: bool, created: set[Atom]
@@ -209,7 +213,6 @@ class UndoJournal:
             rib_prefixes=len(self._rib),
             fib_entries=len(self._fib),
             actions=len(self._actions),
-            ospf_checkpoint=self._ospf_checkpoint is not None,
         )
 
         # Control plane: plain reference/copy restores.
@@ -239,10 +242,11 @@ class UndoJournal:
                 cache[router] = saved
         if self._backbone is not _UNSET:
             state.backbone_adverts, state.backbone_totals_map = self._backbone
-        if self._ospf_checkpoint is not None:
-            state.ospf_state = self._ospf_checkpoint
 
-        # Snapshot: configs wholesale, link flags individually.
+        # Snapshot: configs wholesale, link flags individually; then
+        # OSPF is re-derived at the keys the restore moved.  The dirt
+        # it reports is dropped: routes and caches came back above.
+        routers, pairs = self._ospf_keys()
         for router, saved_config in self._configs.items():
             if saved_config is _MISSING:
                 snapshot.configs.pop(router, None)
@@ -250,6 +254,12 @@ class UndoJournal:
                 snapshot.configs[router] = saved_config
         for link, enabled in self._link_flags.items():
             snapshot.topology.set_link_enabled(link, enabled)
+        ospf = analyzer._ospf
+        for router in sorted(routers):
+            ospf.refresh_router_adverts(router)
+        for u, w in sorted(pairs):
+            ospf.refresh_pair(u, w)
+        span.set(ospf_keys_replayed=len(routers) + len(pairs))
 
         # Data plane: inverse FIB writes restore tries and the
         # refcounted atom decomposition, dropping the written routers'
@@ -283,3 +293,43 @@ class UndoJournal:
                 for atom, reach in self._reach_before.items()
                 if atom_table.atom_containing(atom.lo) == atom
             )
+
+    def _ospf_keys(self) -> tuple[set[str], set[tuple[str, str]]]:
+        """The OSPF adverts and pair keys whose inputs the restore puts
+        back, read before it runs.
+
+        A link whose flag flips back moves the adverts of both ends and
+        their pair.  A router whose OSPF inputs go back moves its own
+        adverts and, for each interface whose inputs go back, the link
+        it is cabled to, disabled or not: the peer's adverts (an
+        interface is up only while the far end is administratively up)
+        and the pair.  A before-image equal to the fork's value (a
+        static route or ACL edit keeps the OSPF inputs) moves nothing.
+        """
+        snapshot = self.analyzer.snapshot
+        topology = snapshot.topology
+        routers: set[str] = set()
+        pairs: set[tuple[str, str]] = set()
+        moved = [
+            link
+            for link, enabled in self._link_flags.items()
+            if topology.link_enabled(link) != enabled
+        ]
+        for router, saved in self._configs.items():
+            before = ospf_inputs(None if saved is _MISSING else saved)
+            after = ospf_inputs(snapshot.configs.get(router))
+            interfaces = {
+                name
+                for name in before.keys() | after.keys()
+                if before.get(name) != after.get(name)
+            }
+            if interfaces:
+                routers.add(router)
+            for interface in interfaces:
+                link = topology.link_of_interface(router, interface)
+                if link is not None:
+                    moved.append(link)
+        for link in moved:
+            routers.update(link.routers)
+            pairs.add(tuple(sorted(link.routers)))
+        return routers, pairs

@@ -24,9 +24,13 @@ Lookup walks the edit type's MRO, so a registration covers subclasses
 unless they register their own (``LinkUp`` rides on ``LinkDown``'s
 entry this way).  Handlers run with the fork journal already primed
 (:meth:`UndoJournal.before_edit` has captured the snapshot-level
-before-images); handlers that mutate *converged* state beyond the
-snapshot must record their own undo hooks, exactly like the built-in
-ACL handlers below.
+before-images).  OSPF reconciled through ``analyzer._ospf`` needs
+nothing more: a fork rollback re-derives it from the restored
+snapshot at the routers and links those before-images name, so a
+custom kind is rolled back through its journaled snapshot writes,
+with no list to join.  Handlers that mutate other *converged* state
+beyond the snapshot must record their own undo hooks, exactly like
+the built-in ACL handlers below.
 
 **Provenance contract**: handlers never see edit ids.  Under
 ``provenance=True`` the analyzer runs each handler against a *fresh*

@@ -174,10 +174,6 @@ class Database:
                 fresh._rows[row] = count
         return copy
 
-    def total_rows(self) -> int:
-        """Sum of present-row counts across relations."""
-        return sum(len(relation) for relation in self._relations.values())
-
     def __str__(self) -> str:
         parts = ", ".join(str(r) for r in self._relations.values())
         return f"Database[{parts}]"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.net.addr import Prefix
 
@@ -38,11 +38,6 @@ class Atom:
     @property
     def size(self) -> int:
         return self.hi - self.lo
-
-    def overlaps_prefix(self, prefix: Prefix) -> bool:
-        """True if the atom intersects the prefix."""
-        lo, hi = prefix.interval()
-        return self.lo < hi and lo < self.hi
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi})"
@@ -173,14 +168,6 @@ class AtomTable:
         """Unregister a prefix's interval."""
         lo, hi = prefix.interval()
         return self.unregister(lo, hi)
-
-    @classmethod
-    def from_intervals(cls, intervals: Iterable[tuple[int, int]]) -> "AtomTable":
-        """Bulk-build a table from many intervals."""
-        table = cls()
-        for lo, hi in intervals:
-            table.register(lo, hi)
-        return table
 
     def __str__(self) -> str:
         return f"AtomTable({self.num_atoms()} atoms)"

@@ -107,6 +107,10 @@ class ActionDelta:
     ``invalidated`` holds header-space spans whose actions were
     dropped wholesale (ACL verdict changes): no old action is known
     there, so reachability rebuilds the atoms under them.
+    ``retired`` holds the writer's own actions on the atoms the
+    cut-point change removed (None where uncached); only a rollback,
+    which brings those atoms back, reads them, so :meth:`merge` does
+    not carry them.
     """
 
     changed: dict[ActionKey, tuple[Action | None, Action]] = field(
@@ -114,6 +118,7 @@ class ActionDelta:
     )
     created: set[Atom] = field(default_factory=set)
     invalidated: list[tuple[int, int]] = field(default_factory=list)
+    retired: dict[ActionKey, Action | None] = field(default_factory=dict)
 
     def merge(self, other: "ActionDelta") -> None:
         """Fold a later delta in, collapsing first old -> last new."""
@@ -323,25 +328,30 @@ class DataPlane:
         The router's action is re-derived, eagerly, on each atom under
         ``prefix`` that the prefix decides there (its longest match is
         ``prefix`` or, after a removal, shorter).  The delta holds the
-        pairs whose action changed and the atoms the cut-point change
-        created.  With ``derive`` off (rollback) those actions are
-        dropped instead, for the caller to reinstate or re-derive.
+        pairs whose action changed, the atoms the cut-point change
+        created, and the router's actions on the atoms it removed.
+        With ``derive`` off (rollback) those actions are dropped
+        instead, for the caller to reinstate or re-derive.
         """
         fib = self.fibs.setdefault(router, Fib(router))
         had = prefix in fib
         delta = ActionDelta()
+        splits: list[tuple[Atom, list[Atom]]] = []
+        merges: list[tuple[Atom, list[Atom]]] = []
         if entry is None:
             if not had:
                 return delta
             fib.remove(prefix)
             merges = self.atom_table.unregister_prefix(prefix)
-            delta.created = self._apply_structure([], merges)
         else:
             fib.install(entry)
-            splits: list[tuple[Atom, list[Atom]]] = []
             if not had:
                 splits = self.atom_table.register_prefix(prefix)
-            delta.created = self._apply_structure(splits, [])
+        retired = [parent for parent, _subs in splits]
+        retired += [sub for _merged, subs in merges for sub in subs]
+        for atom in retired:
+            delta.retired[(router, atom)] = self._actions.get(atom, {}).get(router)
+        delta.created = self._apply_structure(splits, merges)
         lo, hi = prefix.interval()
         for atom in self.atom_table.atoms_overlapping(lo, hi):
             match = fib.lookup(atom.representative)

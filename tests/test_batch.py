@@ -314,6 +314,25 @@ class _SilenceOspf(Edit):
         return f"{self.router}: silence ospf"
 
 
+def register_silence_ospf() -> None:
+    """Register ``_SilenceOspf``'s handler, the way a workload would:
+    it reconciles OSPF through ``analyzer._ospf`` and nothing else."""
+
+    @register_change_handler(_SilenceOspf)
+    def _handle_silence(analyzer, edit, dirty) -> None:
+        snapshot = analyzer.snapshot
+        ospf = snapshot.config(edit.router).ospf
+        interfaces = list(ospf.interfaces) if ospf is not None else []
+        edit.apply(snapshot)
+        dirty.ospf.merge(analyzer._ospf.refresh_router_adverts(edit.router))
+        for interface in interfaces:
+            peer = snapshot.topology.interface_peer(edit.router, interface)
+            if peer is not None:
+                dirty.ospf.merge(
+                    analyzer._ospf.refresh_pair(edit.router, peer.router)
+                )
+
+
 class TestHandlerRegistry:
     def test_builtins_registered(self):
         registry = registered_change_handlers()
@@ -346,25 +365,7 @@ class TestHandlerRegistry:
     def test_custom_change_kind_end_to_end(self):
         """A workload-registered change kind analyzes correctly
         without any analyzer edits (oracle: SnapshotDiff)."""
-
-        @register_change_handler(_SilenceOspf)
-        def _handle_silence(analyzer, edit, dirty) -> None:
-            snapshot = analyzer.snapshot
-            ospf = snapshot.config(edit.router).ospf
-            interfaces = list(ospf.interfaces) if ospf is not None else []
-            edit.apply(snapshot)
-            dirty.ospf.merge(
-                analyzer._ospf.refresh_router_adverts(edit.router)
-            )
-            for interface in interfaces:
-                peer = snapshot.topology.interface_peer(
-                    edit.router, interface
-                )
-                if peer is not None:
-                    dirty.ospf.merge(
-                        analyzer._ospf.refresh_pair(edit.router, peer.router)
-                    )
-
+        register_silence_ospf()
         scenario = ring_ospf(8)
         change = Change.of(_SilenceOspf("r3"), label="silence r3")
         analyzer = DifferentialNetworkAnalyzer(scenario.snapshot.clone())

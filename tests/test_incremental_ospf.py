@@ -5,7 +5,7 @@ import pytest
 from repro.api import ChangeSet, Network
 from repro.config.routing import OspfInterfaceSettings
 from repro.controlplane.incremental import OspfDirty, OspfIncremental
-from repro.controlplane.ospf import ospf_routes_for_source
+from repro.controlplane.ospf import build_ospf_state, ospf_routes_for_source
 from repro.controlplane.simulation import simulate
 from repro.core.analyzer import DifferentialNetworkAnalyzer
 from repro.core.change import (
@@ -111,6 +111,59 @@ class TestRefreshAdverts:
             settings.enabled = False
         incremental.refresh_router_adverts("r0")
         assert "r0" not in state.ospf_state.membership
+
+
+def assert_matches_fresh_build(ospf, snapshot) -> None:
+    """Structure equals a from-scratch build, with one SPF instance
+    per (member, area) and none besides."""
+    from tests.test_what_if import _ospf_structure
+
+    assert _ospf_structure(ospf) == _ospf_structure(build_ospf_state(snapshot))
+    assert set(ospf.spf) == {
+        (router, area)
+        for router, areas in ospf.membership.items()
+        for area in areas
+    }
+
+
+class TestAreaLeave:
+    """A router leaving an area leaves no SPF instance, graph node or
+    empty area graph behind."""
+
+    def test_area_round_trip_matches_a_fresh_build(self):
+        scenario = ring_ospf(6)
+        analyzer = DifferentialNetworkAnalyzer(scenario.snapshot.clone())
+        _router, interface = scenario.topology.find_link("r0", "r1").endpoint_on(
+            "r0"
+        )
+        for area in (1, 0):
+            analyzer.analyze(Change.of(DisableOspfInterface("r0", interface)))
+            analyzer.analyze(
+                Change.of(EnableOspfInterface("r0", interface, area=area))
+            )
+        ospf = analyzer.state.ospf_state
+        assert ospf.areas() == [0]
+        assert_matches_fresh_build(ospf, analyzer.snapshot)
+
+    @pytest.mark.parametrize("pair_first", [False, True])
+    def test_leaving_does_not_depend_on_call_order(self, pair_first):
+        snapshot = ring_ospf(5).snapshot
+        link = snapshot.topology.find_link("r0", "r1")
+        for router, interface in (link.side_a, link.side_b):
+            snapshot.config(router).ospf.interfaces[interface].area = 1
+        state = simulate(snapshot)
+        incremental = OspfIncremental(state)
+        assert state.ospf_state.areas() == [0, 1]
+        for router, interface in (link.side_a, link.side_b):
+            snapshot.config(router).ospf.interfaces[interface].enabled = False
+            calls = [
+                lambda: incremental.refresh_router_adverts(router),
+                lambda: incremental.refresh_pair("r0", "r1"),
+            ]
+            for call in calls[::-1] if pair_first else calls:
+                call()
+            assert_matches_fresh_build(state.ospf_state, snapshot)
+        assert state.ospf_state.areas() == [0]
 
 
 class TestScopedDirty:

@@ -21,7 +21,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.analyzer import DifferentialNetworkAnalyzer
-from repro.core.change import Change, LinkDown, ShutdownInterface
+from repro.config.routing import StaticRouteConfig
+from repro.core.change import (
+    AddStaticRoute,
+    Change,
+    LinkDown,
+    LinkUp,
+    RemoveStaticRoute,
+    ShutdownInterface,
+)
 from repro.core.stages import reach as reach_stage
 from repro.dataplane.atoms import Atom
 from repro.dataplane.forwarding import Action, Target, TargetKind
@@ -30,6 +38,7 @@ from repro.dataplane.reachability import (
     compute_atom_reachability,
     update_atom_reachability,
 )
+from repro.net.addr import Prefix
 from repro.workloads.changes import ChangeGenerator
 from repro.workloads.scenarios import fat_tree_ospf, line_static, ring_ospf
 
@@ -172,9 +181,8 @@ def test_static_chain_reach_cache_matches_scratch():
 
 def test_rollback_reinstates_the_action_cache():
     """A rollback puts back the fork's first old actions, so the next
-    request re-derives almost none: only the failed link's own subnet
-    atom, which the fork merged away, loses the one action its merging
-    write logged on the merged atom."""
+    request re-derives none, not even on the failed link's own subnet
+    atom, which the fork merged away and rollback splits back."""
     scenario = fat_tree_ospf(4)
     analyzer = DifferentialNetworkAnalyzer(scenario.snapshot.clone())
     analyzer.state.reachability.compute_all()
@@ -196,7 +204,56 @@ def test_rollback_reinstates_the_action_cache():
                 derived.clear()
                 report = analyzer.what_if(change)
                 assert report.counters["reach_actions_changed"] > 100
-                assert sum(derived.values()) <= 1, (change, derived)
+                assert sum(derived.values()) == 0, (change, derived)
+
+
+def test_rollback_skips_actions_first_changed_on_fork_created_atoms():
+    """Withdrawing a prefix merges its atom away, and re-adding it
+    splits atoms back that equal the base ones.  r4's action on them
+    moves twice: on the merged atom when r3--r4 fails, then on the
+    split ones when it recovers.  That second old action is a
+    fork-time value, not a before-image, so rollback must not
+    reinstate it."""
+    scenario = ring_ospf(6)
+    subnet = scenario.fabric.host_subnets["r2"][0]
+    _interface, next_hop = ChangeGenerator(scenario, seed=5)._random_neighbor_hop(
+        "r1"
+    )
+    route = StaticRouteConfig(prefix=Prefix(subnet.first + 64, 26), next_hop=next_hop)
+    analyzer = DifferentialNetworkAnalyzer(scenario.snapshot.clone())
+    analyzer.analyze(Change.of(AddStaticRoute("r1", route)))
+    analyzer.state.reachability.compute_all()
+    with analyzer.fork():
+        analyzer.analyze(Change.of(RemoveStaticRoute("r1", route)))
+        analyzer.analyze(Change.of(LinkDown("r3", "r4")))
+        analyzer.analyze(Change.of(AddStaticRoute("r1", route)))
+        analyzer.analyze(Change.of(LinkUp("r3", "r4")))
+    check_reach_cache(analyzer, "after rollback")
+
+
+def test_rollback_skips_actions_retired_from_fork_created_atoms():
+    """r3 splits r1's /26 atom and merges it back, so the atom is
+    fork-created.  r1 then null-routes the /26 and withdraws both of
+    its routes: the merge retires r1's null action on that atom, a
+    fork-time value that rollback must not reinstate."""
+    scenario = ring_ospf(6)
+    subnet = scenario.fabric.host_subnets["r2"][0]
+    _interface, next_hop = ChangeGenerator(scenario, seed=5)._random_neighbor_hop(
+        "r1"
+    )
+    route = StaticRouteConfig(prefix=Prefix(subnet.first + 64, 26), next_hop=next_hop)
+    null = StaticRouteConfig(prefix=route.prefix, drop=True, admin_distance=1)
+    inner = StaticRouteConfig(prefix=Prefix(subnet.first + 64, 27), drop=True)
+    analyzer = DifferentialNetworkAnalyzer(scenario.snapshot.clone())
+    analyzer.analyze(Change.of(AddStaticRoute("r1", route)))
+    analyzer.state.reachability.compute_all()
+    with analyzer.fork():
+        analyzer.analyze(Change.of(AddStaticRoute("r3", inner)))
+        analyzer.analyze(Change.of(RemoveStaticRoute("r3", inner)))
+        analyzer.analyze(Change.of(AddStaticRoute("r1", null)))
+        analyzer.analyze(Change.of(RemoveStaticRoute("r1", route)))
+        analyzer.analyze(Change.of(RemoveStaticRoute("r1", null)))
+    check_reach_cache(analyzer, "after rollback")
 
 
 class _Graph:

@@ -25,12 +25,6 @@ class TestGraph:
         assert graph.cost("a", "b") == INFINITY
         assert "a" not in graph.predecessors("b")
 
-    def test_copy_independent(self):
-        graph = diamond()
-        copy = graph.copy()
-        copy.remove_edge("a", "b")
-        assert graph.cost("a", "b") == 1
-
     def test_num_edges(self):
         assert diamond().num_edges() == 8
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config.text import serialize_configs
+from repro.controlplane.ospf import build_ospf_state
 from repro.controlplane.simulation import simulate
 from repro.core import codec
 from repro.core.analyzer import DifferentialNetworkAnalyzer
@@ -27,8 +28,12 @@ from repro.core.change import (
     Change,
     ChangeError,
     DisableOspfInterface,
+    EnableInterface,
     EnableOspfInterface,
     LinkDown,
+    LinkUp,
+    SetOspfCost,
+    ShutdownInterface,
 )
 from repro.core.forking import ForkError
 from repro.core.snapshot import serialize_topology
@@ -256,3 +261,131 @@ class TestForkSemantics:
             speculative_up.behavior_signature()
             == committed_up.behavior_signature()
         )
+
+
+# -- OSPF rollback -------------------------------------------------------------
+
+
+def _ospf_structure(ospf) -> dict:
+    """Graphs, advertisements and memberships of an OspfState."""
+    return {
+        "graphs": {
+            area: (
+                {node: dict(out) for node, out in graph.adjacency.items()},
+                dict(graph.attachments),
+                {node: set(preds) for node, preds in graph._reverse.items()},
+            )
+            for area, graph in ospf.graphs.items()
+        },
+        "advertised": {
+            area: {router: dict(costs) for router, costs in owners.items()}
+            for area, owners in ospf.advertised.items()
+        },
+        "membership": {router: set(a) for router, a in ospf.membership.items()},
+    }
+
+
+def _ospf_image(ospf) -> dict:
+    """The structure plus every member's settled SPF tree."""
+    image = _ospf_structure(ospf)
+    image["spf_keys"] = set(ospf.spf)
+    image["trees"] = {
+        (router, area): (
+            dict(ospf.spf[(router, area)].dist),
+            {
+                node: set(parents)
+                for node, parents in ospf.spf[(router, area)].parents.items()
+                if parents
+            },
+        )
+        for router, areas in ospf.membership.items()
+        for area in areas
+    }
+    return image
+
+
+def _ospf_forks(analyzer) -> list[Change]:
+    """One fork per OSPF-touching kind over a few links, plus two-edit
+    batches of them; the ``up`` kinds run from a committed ``down``."""
+    topology = analyzer.snapshot.topology
+    links = list(topology.links())
+    forks: list[Change] = []
+    for link in links[:: max(1, len(links) // 4)]:
+        (r1, i1), (r2, i2) = link.side_a, link.side_b
+        forks += [
+            Change.of(LinkDown(r1, r2, i1, i2)),
+            Change.of(ShutdownInterface(r1, i1)),
+            Change.of(SetOspfCost(r1, i1, 37)),
+            Change.of(DisableOspfInterface(r2, i2)),
+            Change.of(
+                DisableOspfInterface(r1, i1),
+                EnableOspfInterface(r1, i1, area=1),
+                label="area move",
+            ),
+            Change.of(LinkDown(r1, r2, i1, i2), SetOspfCost(r2, i2, 5)),
+            Change.of(ShutdownInterface(r2, i2), DisableOspfInterface(r1, i1)),
+            Change.of(
+                SetOspfCost(r1, i1, 3),
+                DisableOspfInterface(r2, i2),
+                EnableOspfInterface(r2, i2, area=2, passive=True),
+            ),
+        ]
+    return forks
+
+
+def _assert_ospf_restored(analyzer, before: dict) -> None:
+    after = _ospf_image(analyzer.state.ospf_state)
+    for key in before:
+        assert after[key] == before[key], f"OSPF {key} drifted after rollback"
+    assert _ospf_structure(analyzer.state.ospf_state) == _ospf_structure(
+        build_ospf_state(analyzer.snapshot)
+    )
+
+
+class TestOspfRollback:
+    """Rollback re-derives OSPF from the restored snapshot; the
+    re-derived state must equal the pre-fork state field by field."""
+
+    @pytest.mark.parametrize("build", [lambda: fat_tree_ospf(4), lambda: ring_ospf(6)])
+    def test_every_ospf_kind_restores_the_state(self, build):
+        scenario = build()
+        analyzer = DifferentialNetworkAnalyzer(scenario.snapshot.clone())
+        before = _ospf_image(analyzer.state.ospf_state)
+        for change in _ospf_forks(analyzer):
+            analyzer.what_if(change)
+            _assert_ospf_restored(analyzer, before)
+
+    @pytest.mark.parametrize("build", [lambda: fat_tree_ospf(4), lambda: ring_ospf(6)])
+    def test_up_kinds_restore_a_committed_down(self, build):
+        scenario = build()
+        analyzer = DifferentialNetworkAnalyzer(scenario.snapshot.clone())
+        link = next(scenario.snapshot.topology.links())
+        (r1, i1), (r2, i2) = link.side_a, link.side_b
+        for down, up in (
+            (LinkDown(r1, r2, i1, i2), LinkUp(r1, r2, i1, i2)),
+            (ShutdownInterface(r1, i1), EnableInterface(r1, i1)),
+            (DisableOspfInterface(r2, i2), EnableOspfInterface(r2, i2)),
+        ):
+            analyzer.analyze(Change.of(down))
+            before = _ospf_image(analyzer.state.ospf_state)
+            analyzer.what_if(Change.of(up))
+            _assert_ospf_restored(analyzer, before)
+            analyzer.what_if(Change.of(up, SetOspfCost(r1, i1, 9)))
+            _assert_ospf_restored(analyzer, before)
+            analyzer.analyze(Change.of(up))
+
+    def test_registered_kind_rolls_back_without_a_list(self):
+        """A workload-registered kind that reconciles OSPF is undone
+        through its journaled snapshot writes alone."""
+        from tests.test_batch import _SilenceOspf, register_silence_ospf
+
+        register_silence_ospf()
+        scenario = ring_ospf(8)
+        analyzer = DifferentialNetworkAnalyzer(scenario.snapshot.clone())
+        before = _ospf_image(analyzer.state.ospf_state)
+        analyzer.what_if(Change.of(_SilenceOspf("r3")))
+        _assert_ospf_restored(analyzer, before)
+        down = Change.of(LinkDown("r0", "r1"))
+        preview = analyzer.what_if(down)
+        reference = SnapshotDiff(scenario.snapshot.clone()).analyze(down)
+        assert preview.behavior_signature() == reference.behavior_signature()
